@@ -24,7 +24,7 @@
 ///    grouping — the property `ropt-report validate` checks.
 ///
 /// Everything the report layer reads or writes (`Provenance`,
-/// `TelemetrySketch`, `ProvenanceChain`, `FleetTelemetry`) is defined
+/// `SketchSet`, `ProvenanceChain`, `FleetTelemetry`) is defined
 /// inline, following the `TransportStats` precedent, so `ropt_report`
 /// can persist and parse telemetry without linking `ropt_fleet`. Only
 /// `TelemetryHub` — the coordinator-side accumulator — lives in
@@ -40,8 +40,6 @@
 #include "support/Json.h"
 #include "support/Metrics.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -89,105 +87,27 @@ inline std::string provenanceHex(uint64_t Id) {
   return Buf;
 }
 
-/// A fixed-bucket mergeable histogram. The bucket bounds are a pure
-/// function of the Kind, so any two sketches of the same kind merge by
-/// bucket-wise addition — associative and commutative on the counts,
-/// which is what lets per-device sketches roll up to class, cell and
-/// fleet totals in any grouping.
-class TelemetrySketch {
-public:
-  enum class Kind {
-    Speedup,     ///< Per-step best speedup (x over Android baseline).
-    StepTicks,   ///< Virtual step duration in ticks.
-    HintLatency, ///< Discovery -> hint-arrival latency in ticks.
-  };
-
-  static std::vector<double> boundsFor(Kind K) {
-    switch (K) {
-    case Kind::Speedup:
-      return {0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0};
-    case Kind::StepTicks:
-      return {8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096};
-    case Kind::HintLatency:
-      return {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
-    }
-    return {};
-  }
-
-  explicit TelemetrySketch(Kind K)
-      : Bounds(boundsFor(K)), Counts(Bounds.size() + 1, 0) {}
-
-  void observe(double V) {
-    size_t I = 0;
-    while (I < Bounds.size() && V > Bounds[I])
-      ++I;
-    ++Counts[I];
-    Min = Count == 0 ? V : std::min(Min, V);
-    Max = Count == 0 ? V : std::max(Max, V);
-    ++Count;
-    Sum += V;
-  }
-
-  TelemetrySketch &operator+=(const TelemetrySketch &O) {
-    assert(Bounds == O.Bounds && "merging sketches of different kinds");
-    for (size_t I = 0; I < Counts.size(); ++I)
-      Counts[I] += O.Counts[I];
-    if (O.Count) {
-      Min = Count ? std::min(Min, O.Min) : O.Min;
-      Max = Count ? std::max(Max, O.Max) : O.Max;
-      Count += O.Count;
-      Sum += O.Sum;
-    }
-    return *this;
-  }
-
-  uint64_t count() const { return Count; }
-  double sum() const { return Sum; }
-  double min() const { return Min; }
-  double max() const { return Max; }
-  const std::vector<uint64_t> &counts() const { return Counts; }
-
-  /// View as a support::Histogram snapshot (for quantile()).
-  Histogram::Snapshot snapshot() const {
-    Histogram::Snapshot S;
-    S.Bounds = Bounds;
-    S.Counts = Counts;
-    S.Count = Count;
-    S.Sum = Sum;
-    S.Min = Min;
-    S.Max = Max;
-    return S;
-  }
-
-  /// `{"bounds":[...],"counts":[...],"count":N,"sum":S,"min":m,"max":M}`.
-  std::string json() const {
-    json::Builder B;
-    json::Builder Bo(/*Array=*/true);
-    for (double Bd : Bounds)
-      Bo.element(Bd);
-    B.fieldRaw("bounds", std::move(Bo).str());
-    json::Builder Co(/*Array=*/true);
-    for (uint64_t C : Counts)
-      Co.element(C);
-    B.fieldRaw("counts", std::move(Co).str());
-    B.field("count", Count)
-        .field("sum", Sum)
-        .field("min", Min)
-        .field("max", Max);
-    return std::move(B).str();
-  }
-
-private:
-  std::vector<double> Bounds;
-  std::vector<uint64_t> Counts;
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-};
+/// `{"bounds":[...],"counts":[...],"count":N,"sum":S,"min":m,"max":M}`:
+/// the telemetry.json rendering of one sketch.
+inline std::string sketchJson(const Histogram::Snapshot &H) {
+  json::Builder B;
+  json::Builder Bo(/*Array=*/true);
+  for (double Bd : H.Bounds)
+    Bo.element(Bd);
+  B.fieldRaw("bounds", std::move(Bo).str());
+  json::Builder Co(/*Array=*/true);
+  for (uint64_t C : H.Counts)
+    Co.element(C);
+  B.fieldRaw("counts", std::move(Co).str());
+  B.field("count", H.Count)
+      .field("sum", H.Sum)
+      .field("min", H.Min)
+      .field("max", H.Max);
+  return std::move(B).str();
+}
 
 /// Rebuilds a histogram snapshot from a sketch's JSON rendering (the
-/// report-reader half of TelemetrySketch::json()).
+/// report-reader half of sketchJson()).
 inline Histogram::Snapshot
 sketchSnapshot(const json::Value &V) {
   Histogram::Snapshot S;
@@ -245,11 +165,19 @@ struct ProvenanceChain {
   }
 };
 
-/// The three canonical sketches, bundled for each aggregation level.
+/// The three canonical sketches, bundled for each aggregation level. The
+/// bucket bounds are fixed per sketch, so any two sets merge by
+/// bucket-wise addition.
 struct SketchSet {
-  TelemetrySketch Speedup{TelemetrySketch::Kind::Speedup};
-  TelemetrySketch StepTicks{TelemetrySketch::Kind::StepTicks};
-  TelemetrySketch HintLatency{TelemetrySketch::Kind::HintLatency};
+  /// Per-step best speedup (x over Android baseline).
+  Histogram::Snapshot Speedup{
+      std::vector<double>{0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0}};
+  /// Virtual step duration in ticks.
+  Histogram::Snapshot StepTicks{
+      std::vector<double>{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}};
+  /// Discovery -> hint-arrival latency in ticks.
+  Histogram::Snapshot HintLatency{
+      std::vector<double>{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}};
 
   SketchSet &operator+=(const SketchSet &O) {
     Speedup += O.Speedup;
@@ -260,9 +188,9 @@ struct SketchSet {
 
   std::string json() const {
     json::Builder B;
-    B.fieldRaw("speedup", Speedup.json())
-        .fieldRaw("step_ticks", StepTicks.json())
-        .fieldRaw("hint_latency", HintLatency.json());
+    B.fieldRaw("speedup", sketchJson(Speedup))
+        .fieldRaw("step_ticks", sketchJson(StepTicks))
+        .fieldRaw("hint_latency", sketchJson(HintLatency));
     return std::move(B).str();
   }
 };
@@ -279,9 +207,9 @@ struct ClassTelemetry {
     B.field("class", ClassId)
         .field("devices", Devices)
         .field("quarantines", Quarantines)
-        .fieldRaw("speedup", Sketches.Speedup.json())
-        .fieldRaw("step_ticks", Sketches.StepTicks.json())
-        .fieldRaw("hint_latency", Sketches.HintLatency.json());
+        .fieldRaw("speedup", sketchJson(Sketches.Speedup))
+        .fieldRaw("step_ticks", sketchJson(Sketches.StepTicks))
+        .fieldRaw("hint_latency", sketchJson(Sketches.HintLatency));
     return std::move(B).str();
   }
 };

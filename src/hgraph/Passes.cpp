@@ -3,6 +3,7 @@
 #include "hgraph/Passes.h"
 
 #include "hgraph/Build.h"
+#include "vm/IntOps.h"
 #include "vm/MachineUtil.h"
 
 #include <algorithm>
@@ -49,22 +50,6 @@ private:
   std::map<MRegIdx, int64_t> Known;
 };
 
-/// Evaluates a two-operand integer ALU op on constants. Division by zero
-/// is *not* folded — the trap must stay.
-std::optional<int64_t> foldIntOp(MOpcode Op, int64_t A, int64_t B) {
-  switch (Op) {
-  case MOpcode::MAddI: return A + B;
-  case MOpcode::MSubI: return A - B;
-  case MOpcode::MMulI: return A * B;
-  case MOpcode::MAndI: return A & B;
-  case MOpcode::MOrI: return A | B;
-  case MOpcode::MXorI: return A ^ B;
-  case MOpcode::MShlI: return A << (B & 63);
-  case MOpcode::MShrI: return A >> (B & 63);
-  default: return std::nullopt;
-  }
-}
-
 /// Evaluates a conditional terminator over constants.
 bool evalCond(MOpcode Op, int64_t A, int64_t B) {
   switch (Op) {
@@ -90,7 +75,7 @@ bool hgraph::constantFolding(HGraph &G) {
       if (I.C != MNoReg)
         CB = Consts.get(I.C);
       if (CA && CB && vm::isPureOp(I.Op) && I.A != MNoReg) {
-        if (auto Folded = foldIntOp(I.Op, *CA, *CB)) {
+        if (auto Folded = vm::foldIntOp(I.Op, *CA, *CB)) {
           MRegIdx Dst = I.A;
           I = MInsn();
           I.Op = MOpcode::MMovImmI;
@@ -103,7 +88,7 @@ bool hgraph::constantFolding(HGraph &G) {
         I = MInsn();
         I.Op = MOpcode::MMovImmI;
         I.A = Dst;
-        I.ImmI = -*CA;
+        I.ImmI = vm::wrapNeg(*CA);
         Changed = true;
       }
       Consts.afterInsn(I);

@@ -4,6 +4,7 @@
 
 #include "lir/Analysis.h"
 #include "support/Format.h"
+#include "vm/IntOps.h"
 #include "vm/MachineUtil.h"
 
 #include <algorithm>
@@ -195,20 +196,6 @@ std::vector<const LInsn *> collectDefs(const LFunction &Fn) {
   return Defs;
 }
 
-std::optional<int64_t> foldInt(MOpcode Op, int64_t A, int64_t B) {
-  switch (Op) {
-  case MOpcode::MAddI: return A + B;
-  case MOpcode::MSubI: return A - B;
-  case MOpcode::MMulI: return A * B;
-  case MOpcode::MAndI: return A & B;
-  case MOpcode::MOrI: return A | B;
-  case MOpcode::MXorI: return A ^ B;
-  case MOpcode::MShlI: return A << (B & 63);
-  case MOpcode::MShrI: return A >> (B & 63);
-  default: return std::nullopt;
-  }
-}
-
 bool evalCond(MOpcode Op, int64_t A, int64_t B) {
   switch (Op) {
   case MOpcode::MIfEq: case MOpcode::MIfEqz: return A == B;
@@ -364,7 +351,7 @@ bool lir::constProp(LFunction &Fn) {
         case MOpcode::MShlI: case MOpcode::MShrI: {
           auto A = IC(I.A), Bc = IC(I.B);
           if (A && Bc) {
-            if (auto R = foldInt(I.Op, *A, *Bc)) {
+            if (auto R = vm::foldIntOp(I.Op, *A, *Bc)) {
               toConstI(I, *R);
               RoundChanged = true;
             }
@@ -373,7 +360,7 @@ bool lir::constProp(LFunction &Fn) {
         }
         case MOpcode::MNegI:
           if (auto A = IC(I.A)) {
-            toConstI(I, -*A);
+            toConstI(I, vm::wrapNeg(*A));
             RoundChanged = true;
           }
           break;

@@ -31,27 +31,28 @@
 namespace ropt {
 namespace report {
 
+/// The manifest schema RunReport writes; report::loadRun reads no other.
+inline constexpr int RunSchema = 8;
+
 /// Artifact file names inside a run directory.
 inline constexpr const char *ManifestFile = "manifest.json";
 inline constexpr const char *EvaluationsFile = "evaluations.jsonl";
 inline constexpr const char *GenerationsFile = "generations.jsonl";
 inline constexpr const char *MetricsFile = "metrics.json";
 inline constexpr const char *TraceFile = "trace.json";
-/// Per-(round, device) log of a fleet run; absent in single-device runs
-/// (readers treat a missing stream as "pre-fleet or non-fleet run").
+/// Per-(round, device) log of a fleet run; absent in single-device runs.
 inline constexpr const char *FleetFile = "fleet.jsonl";
-/// Per-region observability-loop records (schema 3): one line per
-/// candidate region per app with its feature vector, bottleneck label,
-/// slack and budget share. Absent in pre-analysis run directories.
+/// Per-region observability-loop records: one line per candidate region
+/// per app with its feature vector, bottleneck label, slack and budget
+/// share. Absent when the pipeline produced no region analysis.
 inline constexpr const char *AnalysisFile = "analysis.jsonl";
-/// Fleet-wide Chrome trace on the virtual clock (schema 5): one track
-/// per device class per coordinator cell, async delivery arrows, churn
-/// instants. Absent in non-fleet runs.
+/// Fleet-wide Chrome trace on the virtual clock: one track per device
+/// class per coordinator cell, async delivery arrows, churn instants.
+/// Absent in non-fleet runs.
 inline constexpr const char *FleetTraceFile = "fleet.trace.json";
-/// Mergeable per-class telemetry sketches and provenance chains
-/// (schema 5). Absent in non-fleet runs. Unlike metrics.json this is a
-/// pure function of the simulation, so it is written even when the
-/// observability layer is compiled out.
+/// Mergeable per-class telemetry sketches and provenance chains. Absent
+/// in non-fleet runs. Unlike metrics.json this is a pure function of the
+/// simulation, so it is byte-identical at any --jobs.
 inline constexpr const char *TelemetryFile = "telemetry.json";
 
 /// Owns one run directory and its streams. Create through open();

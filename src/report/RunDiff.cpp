@@ -73,6 +73,14 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
                           Dir + "/" + ManifestFile + ": " +
                               Manifest.error().Message);
   Run.Manifest = std::move(Manifest).value();
+  int Schema = static_cast<int>(Run.Manifest.number("schema"));
+  if (Schema != RunSchema)
+    return support::Error(support::ErrorCode::Unknown,
+                          Dir + ": run directory has report schema " +
+                              std::to_string(Schema) +
+                              "; this ropt-report reads only schema " +
+                              std::to_string(RunSchema) +
+                              " — re-run the bench to regenerate it");
 
   support::Result<bool> Evals = forEachJsonl(
       Dir + "/" + EvaluationsFile, [&Run](const json::Value &V) {
@@ -117,8 +125,8 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
   if (!Gens)
     return Gens.error();
 
-  // fleet.jsonl only exists for fleet runs (and only since schema 2);
-  // a missing stream is normal, a present-but-unparseable one is not.
+  // fleet.jsonl only exists for fleet runs; a missing stream is normal,
+  // a present-but-unparseable one is not.
   std::string FleetPath = Dir + "/" + FleetFile;
   if (std::ifstream(FleetPath).good()) {
     Run.HasFleetLog = true;
@@ -129,7 +137,6 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
           R.FleetDevices = static_cast<int>(V.number("devices"));
           R.Round = static_cast<int>(V.number("round"));
           R.Device = static_cast<int>(V.number("device"));
-          // Schema 4; absent (0) on older streams.
           R.VirtualTime = static_cast<uint64_t>(V.number("virtual_time"));
           R.BestSpeedup = V.number("best_speedup");
           R.BestGenome = V.string("best_genome");
@@ -140,15 +147,13 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
           R.HintsAdopted = static_cast<int>(V.number("hints_adopted"));
           R.HintsRejected = static_cast<int>(V.number("hints_rejected"));
           R.Evaluations = static_cast<int>(V.number("evaluations"));
-          // Schema 5 provenance fields; defaults on older streams.
           R.DeviceClass = static_cast<int>(V.number("device_class"));
           std::string Prov = V.string("best_provenance");
           if (Prov.rfind("0x", 0) == 0)
             R.BestProvenance =
                 std::strtoull(Prov.c_str() + 2, nullptr, 16);
-          if (V.find("best_discovery_device"))
-            R.BestDiscoveryDevice =
-                static_cast<int>(V.number("best_discovery_device"));
+          R.BestDiscoveryDevice =
+              static_cast<int>(V.number("best_discovery_device"));
           R.BestDiscoveryTime =
               static_cast<uint64_t>(V.number("best_discovery_time"));
           R.TransportAttempts =
@@ -163,8 +168,8 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
       return Fleet.error();
   }
 
-  // analysis.jsonl only exists since schema 3 and only for runs whose
-  // pipeline produced a region analysis; absence is normal.
+  // analysis.jsonl only exists for runs whose pipeline produced a region
+  // analysis; absence is normal.
   std::string AnalysisPath = Dir + "/" + AnalysisFile;
   if (std::ifstream(AnalysisPath).good()) {
     Run.HasAnalysisLog = true;
@@ -206,8 +211,8 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
       return Analysis.error();
   }
 
-  // telemetry.json only exists since schema 5 and only for fleet runs;
-  // absence is normal, an unparseable one is not.
+  // telemetry.json only exists for fleet runs; absence is normal, an
+  // unparseable one is not.
   if (support::Result<std::string> TelemetryText =
           slurp(Dir + "/" + TelemetryFile)) {
     support::Result<json::Value> Telemetry =
@@ -220,8 +225,8 @@ support::Result<LoadedRun> report::loadRun(const std::string &Dir) {
     Run.HasTelemetry = true;
   }
 
-  // metrics.json only exists for observability builds; absence is normal,
-  // an unparseable one is not.
+  // metrics.json: a missing one only skips the checks that read it, an
+  // unparseable one fails the load.
   if (support::Result<std::string> MetricsText =
           slurp(Dir + "/" + MetricsFile)) {
     support::Result<json::Value> Metrics = json::parse(MetricsText.value());
@@ -251,20 +256,7 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
                           "config", "apps", "totals"})
     if (!Run.Manifest.find(Key))
       Problem(std::string("manifest.json: missing field \"") + Key + "\"");
-  // Schema 1 = pre-fleet runs, schema 2 added the optional fleet
-  // section, schema 3 the observability flag and region analysis,
-  // schema 4 virtual_time on fleet records, schema 5 per-record
-  // provenance plus telemetry.json, schema 6 session_backends and the
-  // replay_backend sections, schema 7 the persistent store (config.store,
-  // warm_start section, fleet class_leaderboards); all stay loadable so
-  // old baselines keep diffing against new runs.
-  double Schema = Run.Manifest.number("schema");
-  if (Run.Manifest.find("schema") && Schema != 1 && Schema != 2 &&
-      Schema != 3 && Schema != 4 && Schema != 5 && Schema != 6 &&
-      Schema != 7)
-    Problem("manifest.json: unknown schema version");
-
-  // Schema 7: a warm_start section only makes sense for a run that was
+  // A warm_start section only makes sense for a run that was
   // pointed at a store directory.
   if (const json::Value *W = Run.Manifest.find("warm_start")) {
     const json::Value *Config = Run.Manifest.find("config");
@@ -276,14 +268,14 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
       Problem("manifest.json: warm_start section is missing \"used\"");
   }
 
-  // Schema 6 session accounting: a run that *claims* fresh (non-session)
+  // Session accounting: a run that *claims* fresh (non-session)
   // evaluation backends pays the loader on every replay, so a metrics
   // snapshot with replays but zero replay.pages_restored contradicts the
   // claim — loader stats were dropped somewhere (the exact bug session
   // mode's LoaderStats semantics were designed to avoid). Session runs
   // legitimately restore pages only once per session, so the check only
   // applies when session_backends is explicitly false.
-  if (Schema >= 6 && Run.HasMetrics) {
+  if (Run.HasMetrics) {
     const json::Value *Config = Run.Manifest.find("config");
     const json::Value *SessionB =
         Config ? Config->find("session_backends") : nullptr;
@@ -293,19 +285,11 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
         double Restored = Counters->number("replay.pages_restored");
         if (Replays > 0.0 && Restored == 0.0)
           Warning("metrics.json: replay.pages_restored is zero in a "
-                  "schema-6 run claiming fresh (session_backends=false) "
+                  "run claiming fresh (session_backends=false) "
                   "backends — loader stats were lost");
       }
     }
   }
-
-  // A run built without the tracing/metrics layer records
-  // observability:false and legitimately has no trace.json/metrics.json;
-  // that is worth a heads-up, never a gate failure.
-  if (const json::Value *Obs = Run.Manifest.find("observability"))
-    if (!Obs->asBool())
-      Warning("manifest.json: run built with ROPT_OBSERVABILITY=0 — "
-              "trace.json/metrics.json are intentionally absent");
 
   static const std::set<std::string> Verdicts = {
       "ok", "compile-error", "runtime-crash", "runtime-timeout",
@@ -343,21 +327,20 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
   }
   (void)GenSeen;
 
-  // --- Fleet artifacts. Their absence is normal for pre-fleet and
-  // non-fleet runs, so presence mismatches are warnings; internally
-  // inconsistent records are problems.
+  // --- Fleet artifacts. Their absence is normal for non-fleet runs, so
+  // presence mismatches are warnings; internally inconsistent records are
+  // problems.
   const json::Value *FleetM = Run.Manifest.find("fleet");
   if (FleetM && !Run.HasFleetLog)
     Warning("manifest.json has a fleet section but fleet.jsonl is "
             "missing (truncated run directory?)");
   if (!FleetM && Run.HasFleetLog)
-    Warning("fleet.jsonl present but manifest.json has no fleet section "
-            "(pre-fleet tool wrote the manifest?)");
+    Warning("fleet.jsonl present but manifest.json has no fleet section");
 
   static const std::set<std::string> Sources = {"random", "seeded", "bred",
                                                 "hill-climb"};
   uint64_t Adopted = 0, Rejected = 0;
-  // Schema 4 streams are written in event-commit order, so virtual times
+  // Streams are written in event-commit order, so virtual times
   // must be non-decreasing within one (app, device-count) run.
   std::map<std::pair<std::string, int>, uint64_t> LastVirtual;
   for (size_t I = 0; I < Run.Fleet.size(); ++I) {
@@ -389,15 +372,14 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
               "fleet.jsonl round log");
   }
 
-  // --- Fleet telemetry (schema 5). The sketch-merge law is checkable
+  // --- Fleet telemetry. The sketch-merge law is checkable
   // from the artifact alone: fixed bounds make the merge a bucket-wise
   // sum, so class sketches must sum exactly to their cell total and cell
   // totals to the fleet total. Chains must be causally ordered (nothing
   // merges or gets adopted before it was discovered), and every
   // fleet.jsonl best_provenance must resolve to a chain of its cell.
-  if (Schema >= 5 && Run.HasFleetLog && !Run.HasTelemetry)
-    Warning("schema-5 fleet run without telemetry.json (truncated run "
-            "directory?)");
+  if (Run.HasFleetLog && !Run.HasTelemetry)
+    Warning("fleet run without telemetry.json (truncated run directory?)");
   // Chain ids and (discovery time, restored flag) per (app, devices)
   // cell, for the record cross-check below.
   std::map<std::pair<std::string, int>,
@@ -457,12 +439,11 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
                 static_cast<uint64_t>(Ch.number("first_merge_time"));
             uint64_t Adopt =
                 static_cast<uint64_t>(Ch.number("first_adopt_time"));
-            // Schema 7: a chain restored from a persistent store was
-            // discovered on a prior run's virtual clock, so same-clock
-            // causality checks do not apply to its discovery time.
-            bool Restored = false;
-            if (const json::Value *R = Ch.find("restored"))
-              Restored = R->asBool();
+            // A chain restored from a persistent store was discovered on
+            // a prior run's virtual clock, so same-clock causality checks
+            // do not apply to its discovery time.
+            const json::Value *R = Ch.find("restored");
+            bool Restored = R && R->asBool();
             std::string ChWhere = Where + " chain " + Hex;
             if (Id == 0)
               Problem(ChWhere + ": unparseable chain id");
@@ -516,9 +497,9 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
     }
   }
 
-  // --- Region analysis (schema 3). Absence is normal (pre-analysis runs
-  // and harnesses whose pipeline never produced one); present records
-  // must satisfy the allocator's invariants.
+  // --- Region analysis. Absence is normal (harnesses whose pipeline
+  // never produced one); present records must satisfy the allocator's
+  // invariants.
   static const std::set<std::string> Labels = {
       "native_heavy", "memory_bound", "branchy", "compute", "balanced"};
   std::map<std::string, double> WeightSum;
@@ -566,8 +547,7 @@ ValidationResult report::validateRun(const LoadedRun &Run) {
             "analysis.jsonl is missing (truncated run directory?)");
   if (!ManifestHasAnalysis && Run.HasAnalysisLog)
     Warning("analysis.jsonl present but manifest.json has no "
-            "region_analysis section (pre-analysis tool wrote the "
-            "manifest?)");
+            "region_analysis section");
   return Result;
 }
 
@@ -668,8 +648,8 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
         break;
       }
 
-    // Fork-server session accounting (manifest "replay_backend" per app,
-    // schema 6): how the replays above were served.
+    // Fork-server session accounting (manifest "replay_backend" per
+    // app): how the replays above were served.
     if (const json::Value *AppsV = M.find("apps"))
       for (const json::Value &AppV : AppsV->elements()) {
         if (AppV.string("name") != Name)
@@ -736,7 +716,7 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
   }
 
   // Fleet section: manifest aggregate plus a per-(app, device-count)
-  // round digest. Pre-fleet runs simply have neither.
+  // round digest. Non-fleet runs simply have neither.
   const json::Value *F = M.find("fleet");
   if (F || Run.HasFleetLog) {
     Out << H << "fleet" << HEnd << "\n";
@@ -753,13 +733,12 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
           << " drops (p=" << format("%.2f", F->number("drop_prob"))
           << "), " << format("%.0f", F->number("deliveries_failed"))
           << " failed deliveries\n";
-      // TransportStats fields (schema 4); both default to 0 on old runs.
       Out << "reorders: " << format("%.0f", F->number("reorders"))
           << " drawn, " << format("%.0f", F->number("reorders_effective"))
           << " changed hint arrival order\n";
       Out << "best speedup: " << format("%.3f", F->number("best_speedup"))
           << "x\n";
-      // Schema 7: per-class leaderboard winners, one line per
+      // Per-class leaderboard winners, one line per
       // (app, devices, class) cell.
       if (const json::Value *Boards = F->find("class_leaderboards"))
         for (const json::Value &Row : Boards->elements())
@@ -774,7 +753,7 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
                       : "")
               << ")\n";
     }
-    // Schema 7: the persistent-store warm start, if the run used one.
+    // The persistent-store warm start, if the run used one.
     if (const json::Value *W = Run.Manifest.find("warm_start")) {
       Out << "warm start: "
           << (W->find("used") && W->find("used")->asBool() ? "yes" : "no")
@@ -808,7 +787,7 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
         Out << "  (vt " << EndTime << ")";
       Out << "\n";
     }
-    // Per-device-class breakdown from the telemetry sketches (schema 5).
+    // Per-device-class breakdown from the telemetry sketches.
     if (Run.HasTelemetry)
       if (const json::Value *Cells = Run.Telemetry.find("cells"))
         for (const json::Value &Cell : Cells->elements()) {
@@ -843,8 +822,7 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
   }
 
   // Top spans by wall-clock, from the run's Chrome trace. Absent or
-  // empty traces (ROPT_OBSERVABILITY=0 builds record observability:false
-  // and write none) simply skip the section.
+  // empty traces (tracing was not enabled for the run) skip the section.
   if (support::Result<std::string> TraceText =
           slurp(Run.Dir + "/" + TraceFile)) {
     support::Result<analysis::SpanDag> Dag =
@@ -883,7 +861,7 @@ std::string report::analyzeRun(const LoadedRun &Run,
   Out << "analysis-guided search: " << (Guided ? "on" : "off") << "\n\n";
 
   if (!Run.HasAnalysisLog) {
-    Out << "no analysis.jsonl — pre-analysis run directory\n";
+    Out << "no analysis.jsonl — the run produced no region analysis\n";
     return Out.str();
   }
 
@@ -1107,7 +1085,7 @@ DiffResult report::diffRuns(const LoadedRun &A, const LoadedRun &B,
     if (!RollA.count(Name))
       Text << Name << ": only in new run " << B.Dir << "\n";
 
-  // Fleet gate (schema 5): each (app, device-count) cell's final best
+  // Fleet gate: each (app, device-count) cell's final best
   // speedup, B against A (churned cells pair by app when the device
   // count shifted — see matchFleetCells).
   Out.FleetRegressions = gateFleetCells(cellBests(A), cellBests(B), A.Dir,

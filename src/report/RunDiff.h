@@ -58,13 +58,13 @@ struct GenRecord {
   double MeanCycles = 0.0;
 };
 
-/// One fleet.jsonl record, parsed (schema 2; absent in pre-fleet runs).
+/// One fleet.jsonl record, parsed (absent in non-fleet runs).
 struct FleetRecord {
   std::string App;
   int FleetDevices = 0; ///< Device count of the coordinator run.
-  int Round = 0;        ///< The device's step index (async since schema 4).
+  int Round = 0;        ///< The device's (asynchronous) step index.
   int Device = 0;
-  /// Virtual completion time of the step (schema 4; 0 on older runs).
+  /// Virtual completion time of the step on the event loop.
   uint64_t VirtualTime = 0;
   double BestSpeedup = 0.0;
   std::string BestGenome;
@@ -74,7 +74,7 @@ struct FleetRecord {
   int HintsAdopted = 0;
   int HintsRejected = 0;
   int Evaluations = 0;
-  /// Schema 5 provenance fields; zero/-1 defaults on older streams.
+  /// The device's class and the best genome's provenance chain.
   int DeviceClass = 0;
   uint64_t BestProvenance = 0; ///< Parsed from the "0x..." hex spelling.
   int BestDiscoveryDevice = -1;
@@ -85,8 +85,8 @@ struct FleetRecord {
   bool Delivered = true;
 };
 
-/// One analysis.jsonl record, parsed (schema 3; absent in pre-analysis
-/// runs): a candidate region's feature vector, bottleneck label and
+/// One analysis.jsonl record, parsed (absent when the run produced no
+/// region analysis): a candidate region's feature vector, bottleneck label and
 /// budget allocation.
 struct AnalysisRecord {
   std::string App;
@@ -126,25 +126,25 @@ struct LoadedRun {
   bool HasFleetLog = false;       ///< fleet.jsonl existed and parsed.
   std::vector<AnalysisRecord> Analysis; ///< Empty without analysis.jsonl.
   bool HasAnalysisLog = false; ///< analysis.jsonl existed and parsed.
-  /// telemetry.json parsed wholesale (schema 5): per-class sketches, cell
+  /// telemetry.json parsed wholesale: per-class sketches, cell
   /// and fleet totals, provenance chains. Absent in non-fleet runs.
   json::Value Telemetry;
   bool HasTelemetry = false;
-  /// metrics.json, when the run was built with the observability layer
-  /// (schema-6 validation cross-checks replay counters against the
+  /// metrics.json (validation cross-checks replay counters against the
   /// manifest's session_backends claim).
   json::Value Metrics;
   bool HasMetrics = false;
 };
 
-/// Reads manifest.json + the JSONL streams. Fails on missing files or
-/// unparseable JSON (line number in the message). fleet.jsonl is
-/// optional — pre-fleet run directories load fine without one.
+/// Reads manifest.json + the JSONL streams. Fails on missing files,
+/// unparseable JSON (line number in the message) or a manifest schema
+/// other than RunSchema. fleet.jsonl is optional — non-fleet run
+/// directories load fine without one.
 support::Result<LoadedRun> loadRun(const std::string &Dir);
 
 /// Outcome of validateRun: problems fail the gate (ropt-report validate
-/// exits 1), warnings are reported but tolerated — e.g. a pre-fleet run
-/// directory missing the fleet section entirely.
+/// exits 1), warnings are reported but tolerated — e.g. a truncated run
+/// directory missing one of its artifacts.
 struct ValidationResult {
   std::vector<std::string> Problems;
   std::vector<std::string> Warnings;
@@ -189,7 +189,7 @@ struct DiffOptions {
 struct DiffResult {
   int FitnessRegressions = 0;
   int VerdictShifts = 0;
-  /// Fleet gate (schema 5): per-(app, device-count) cells whose final
+  /// Fleet gate: per-(app, device-count) cells whose final
   /// best speedup regressed beyond DiffOptions::FleetThreshold.
   int FleetRegressions = 0;
   std::string Text; ///< Human-readable diff report.

@@ -49,7 +49,7 @@ std::string cacheJson(const search::EngineCacheStats &S) {
   return std::move(B).str();
 }
 
-/// Fork-server session accounting (schema 6, "replay_backend"). Session
+/// Fork-server session accounting ("replay_backend"). Session
 /// and backend counts depend on the worker count, so this section is
 /// jobs-variant — like wall_seconds — while every measurement stream
 /// stays byte-identical.
@@ -164,7 +164,7 @@ void RunReport::endApp(const AppOutcome &Outcome) {
   Apps.back().Outcome = Outcome;
   Apps.back().Ended = true;
   // One analysis.jsonl line per candidate region, hottest first (the
-  // stream opens lazily, so pre-analysis harnesses don't grow the file).
+  // stream opens lazily, so harnesses without analysis don't grow the file).
   for (const analysis::RegionReport &R : Outcome.Analysis.Regions)
     Writer->appendAnalysis(regionStreamJson(Apps.back().Name, R));
 }
@@ -243,7 +243,7 @@ void RunReport::onFleetRound(const FleetRoundRecord &R) {
   B.field("hints_adopted", R.HintsAdopted);
   B.field("hints_rejected", R.HintsRejected);
   B.field("evaluations", R.Evaluations);
-  // Schema 5: the device's class and the best genome's provenance chain.
+  // The device's class and the best genome's provenance chain.
   B.field("device_class", R.DeviceClass);
   B.field("best_provenance", hexHash(R.BestProvenance));
   B.field("best_discovery_device", R.BestDiscoveryDevice);
@@ -317,27 +317,12 @@ std::string RunReport::manifestJson() const {
   }
 
   json::Builder B;
-  // Schema 2 added the optional fleet section/stream; schema 3 the
-  // observability flag, the per-app region_analysis section and the
-  // analysis.jsonl stream; schema 4 the virtual_time field on fleet
-  // records and the TransportStats fleet-section fields; schema 5 the
-  // per-record provenance fields (device_class, best_provenance,
-  // best_discovery_*) plus the telemetry.json and fleet.trace.json
-  // artifacts; schema 6 the config session_backends flag and the
-  // per-app/totals "replay_backend" sections (fork-server replay
-  // sessions); schema 7 the config store field, the warm_start section
-  // and the fleet class_leaderboards snapshot (the persistent
-  // optimization service). Readers accept all seven.
-  B.field("schema", 7);
+  B.field("schema", RunSchema);
   B.field("tool", Info.Tool);
   B.field("git", ROPT_GIT_DESCRIBE);
   B.field("seed", Info.Seed);
   B.field("jobs", Info.Jobs);
   B.field("fast", Info.Fast);
-  // Whether the build carried the tracing/metrics layer at all: readers
-  // treat a missing trace.json/metrics.json in an observability:false
-  // run directory as expected, not truncated.
-  B.field("observability", ROPT_OBSERVABILITY != 0);
   {
     json::Builder C;
     C.field("generations", Info.Generations)
@@ -445,9 +430,8 @@ bool RunReport::finish() {
   bool Ok = Writer->writeFile(ManifestFile, manifestJson());
 
   // Fleet telemetry + trace are pure functions of the simulation (virtual
-  // clock, no wall time), so unlike metrics/trace they are written even
-  // when the observability layer is compiled out — and stay byte-identical
-  // at any --jobs.
+  // clock, no wall time), so unlike metrics/trace they stay
+  // byte-identical at any --jobs.
   if (!TelemetryCells.empty()) {
     json::Builder B;
     B.field("schema", 5);
@@ -468,14 +452,8 @@ bool RunReport::finish() {
   if (!FleetTraceOut.empty())
     Ok &= Writer->writeFile(FleetTraceFile, FleetTraceOut.toChromeJson());
 
-#if ROPT_OBSERVABILITY
   Ok &= Writer->writeFile(MetricsFile,
                           Metrics::instance().snapshot().toJson());
   Ok &= Writer->writeFile(TraceFile, TraceRecorder::instance().toChromeJson());
-#else
-  // The tracing/metrics layer is compiled out: writing empty shells would
-  // only trip readers into treating the run as broken. The manifest's
-  // observability:false field records why the files are absent.
-#endif
   return Ok;
 }

@@ -55,9 +55,9 @@ struct RunInfo {
   int MaxReplaysPerEvaluation = 0; ///< Measurement budget per binary.
   int CapturesPerRegion = 0;
   bool AnalysisGuided = false; ///< Criticality-weighted search budget?
-  /// Schema 6: fork-server replay sessions in the evaluation backends?
+  /// Fork-server replay sessions in the evaluation backends?
   bool SessionBackends = true;
-  /// Schema 7: the persistent-store directory the run loaded/saved
+  /// The persistent-store directory the run loaded/saved
   /// (config.store; empty = no store, a cold one-night run).
   std::string StoreDir;
 };
@@ -70,7 +70,7 @@ struct AppOutcome {
   search::EngineCounters Counters;  ///< GA + baseline verdict counts.
   search::EngineCacheStats Cache;   ///< The engine's memoization story.
   search::EngineRacingStats Racing; ///< Replay-budget accounting.
-  /// Schema 6: fork-server replay-session accounting over the app's
+  /// Fork-server replay-session accounting over the app's
   /// evaluation backends. Session/backend counts depend on worker count,
   /// so the manifest's "replay_backend" section is jobs-variant (like
   /// wall_seconds) — evaluations.jsonl stays byte-identical regardless.
@@ -101,7 +101,7 @@ struct FleetRoundRecord {
   int Round = 0; ///< The device's step index (steps are asynchronous).
   int Device = 0;
   /// Virtual completion time of the step on the fleet event loop
-  /// (schema 4; deterministic, unlike a wall clock).
+  /// (deterministic, unlike a wall clock).
   uint64_t VirtualTime = 0;
   double BestSpeedup = 0.0; ///< Device best-so-far vs its own baseline.
   std::string BestGenome;
@@ -111,7 +111,7 @@ struct FleetRoundRecord {
   int HintsAdopted = 0;
   int HintsRejected = 0;
   int Evaluations = 0;
-  /// Schema 5: the device's hardware/user class and the provenance chain
+  /// The device's hardware/user class and the provenance chain
   /// of its best genome — which device discovered it, and when (virtual
   /// time) the discovery happened.
   int DeviceClass = 0;
@@ -126,7 +126,7 @@ struct FleetRoundRecord {
   bool Delivered = true; ///< The round report reached the server.
 };
 
-/// Schema 7: what the persistent optimization service contributed to
+/// What the persistent optimization service contributed to
 /// this run — the manifest's "warm_start" section. Written only when the
 /// harness ran with --store.
 struct WarmStartInfo {
@@ -138,7 +138,7 @@ struct WarmStartInfo {
   uint64_t HintsInjected = 0; ///< Warm-start hints pre-seeded to devices.
 };
 
-/// Schema 7: one per-class leaderboard row of the manifest's
+/// One per-class leaderboard row of the manifest's
 /// "fleet.class_leaderboards" snapshot (top entries per device class at
 /// the end of each sweep cell).
 struct ClassLeaderboardRow {
@@ -165,7 +165,7 @@ struct FleetSummary {
   /// JSON emitter with FleetResult — see fleet/Transport.h).
   fleet::TransportStats Transport;
   double BestSpeedup = 0.0; ///< Best across the whole sweep.
-  /// Schema 7: per-class leaderboard snapshot across the sweep cells.
+  /// Per-class leaderboard snapshot across the sweep cells.
   std::vector<ClassLeaderboardRow> ClassBoards;
 };
 
@@ -204,10 +204,10 @@ public:
   void setFleetSummary(const FleetSummary &S);
 
   /// Installs the persistent-store contribution; the manifest grows a
-  /// "warm_start" section (schema 7) only when this was called.
+  /// "warm_start" section only when this was called.
   void setWarmStart(const WarmStartInfo &W);
 
-  /// One coordinator cell's merged telemetry (schema 5). finish() folds
+  /// One coordinator cell's merged telemetry. finish() folds
   /// every cell into telemetry.json: per-class sketches, the cell
   /// totals, a fleet-level merge, and all provenance chains.
   void onFleetCell(const fleet::FleetTelemetry &T);

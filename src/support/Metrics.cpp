@@ -11,45 +11,49 @@ using namespace ropt;
 
 // --- Histogram ---------------------------------------------------------------
 
-Histogram::Histogram(std::vector<double> UpperBounds)
+Histogram::Snapshot::Snapshot(std::vector<double> UpperBounds)
     : Bounds(std::move(UpperBounds)), Counts(Bounds.size() + 1, 0) {
   assert(std::is_sorted(Bounds.begin(), Bounds.end()) &&
          "histogram bounds must ascend");
 }
 
-void Histogram::observe(double Value) {
+void Histogram::Snapshot::observe(double Value) {
   size_t Bucket = 0;
   while (Bucket < Bounds.size() && Value > Bounds[Bucket])
     ++Bucket;
-  std::lock_guard<std::mutex> Lock(Mutex);
   ++Counts[Bucket];
+  Min = Count == 0 ? Value : std::min(Min, Value);
+  Max = Count == 0 ? Value : std::max(Max, Value);
   ++Count;
   Sum += Value;
-  if (Count == 1) {
-    Min = Max = Value;
-  } else {
-    Min = std::min(Min, Value);
-    Max = std::max(Max, Value);
+}
+
+Histogram::Snapshot &Histogram::Snapshot::operator+=(const Snapshot &O) {
+  assert(Bounds == O.Bounds && "merging histograms with different bounds");
+  for (size_t I = 0; I < Counts.size(); ++I)
+    Counts[I] += O.Counts[I];
+  if (O.Count) {
+    Min = Count ? std::min(Min, O.Min) : O.Min;
+    Max = Count ? std::max(Max, O.Max) : O.Max;
+    Count += O.Count;
+    Sum += O.Sum;
   }
+  return *this;
+}
+
+void Histogram::observe(double V) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Value.observe(V);
 }
 
 void Histogram::reset() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  std::fill(Counts.begin(), Counts.end(), 0);
-  Count = 0;
-  Sum = Min = Max = 0.0;
+  Value = Snapshot(std::move(Value.Bounds));
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Snapshot S;
-  S.Bounds = Bounds;
-  S.Counts = Counts;
-  S.Count = Count;
-  S.Sum = Sum;
-  S.Min = Min;
-  S.Max = Max;
-  return S;
+  return Value;
 }
 
 double Histogram::Snapshot::quantile(double Q) const {

@@ -21,10 +21,6 @@
 #ifndef ROPT_SUPPORT_METRICS_H
 #define ROPT_SUPPORT_METRICS_H
 
-#ifndef ROPT_OBSERVABILITY
-#define ROPT_OBSERVABILITY 1
-#endif
-
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -63,13 +59,10 @@ private:
 /// the per-capture / per-replay rates it is used at.
 class Histogram {
 public:
-  /// \p UpperBounds must be sorted ascending; a value lands in the first
-  /// bucket whose bound is >= the value, or in the overflow bucket.
-  explicit Histogram(std::vector<double> UpperBounds);
-
-  void observe(double Value);
-  void reset();
-
+  /// The histogram's data as a plain value. Values with equal bounds
+  /// merge by bucket-wise addition — associative and commutative on the
+  /// counts — so per-device values roll up to class, cell and fleet
+  /// totals in any grouping (fleet telemetry, DESIGN.md §15).
   struct Snapshot {
     std::vector<double> Bounds;   ///< Upper bounds, one per finite bucket.
     std::vector<uint64_t> Counts; ///< Bounds.size() + 1 entries (overflow).
@@ -77,7 +70,20 @@ public:
     double Sum = 0.0;
     double Min = 0.0; ///< 0 when Count == 0.
     double Max = 0.0;
-    double mean() const { return Count ? Sum / static_cast<double>(Count) : 0.0; }
+
+    Snapshot() = default;
+    /// \p UpperBounds must be sorted ascending; a value lands in the
+    /// first bucket whose bound is >= the value, or in the overflow
+    /// bucket.
+    explicit Snapshot(std::vector<double> UpperBounds);
+
+    void observe(double Value);
+    /// Bucket-wise merge; both sides must have the same bounds.
+    Snapshot &operator+=(const Snapshot &O);
+
+    double mean() const {
+      return Count ? Sum / static_cast<double>(Count) : 0.0;
+    }
     /// Estimated \p Q-quantile (Q in [0,1]) by linear interpolation
     /// inside the bucket holding the target rank — the Prometheus
     /// histogram_quantile estimator, except the first bucket interpolates
@@ -85,16 +91,17 @@ public:
     /// observed Max, so estimates are always within [Min, Max].
     double quantile(double Q) const;
   };
+
+  explicit Histogram(std::vector<double> UpperBounds)
+      : Value(std::move(UpperBounds)) {}
+
+  void observe(double V);
+  void reset();
   Snapshot snapshot() const;
 
 private:
   mutable std::mutex Mutex;
-  std::vector<double> Bounds;
-  std::vector<uint64_t> Counts;
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
+  Snapshot Value;
 };
 
 /// Point-in-time copy of every registered instrument, sorted by name.
@@ -145,8 +152,6 @@ private:
 
 } // namespace ropt
 
-#if ROPT_OBSERVABILITY
-
 /// Bumps the named process-wide counter. The registry lookup happens once
 /// per site (static local); the steady-state cost is one relaxed add.
 #define ROPT_METRIC_ADD(NameLiteral, Delta)                                  \
@@ -170,29 +175,5 @@ private:
                                               std::vector<double> __VA_ARGS__); \
     RoptMetricH.observe(static_cast<double>(Value));                         \
   } while (false)
-
-#else // !ROPT_OBSERVABILITY
-
-#define ROPT_METRIC_ADD(NameLiteral, Delta)                                  \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-    (void)sizeof(Delta);                                                     \
-  } while (false)
-#define ROPT_METRIC_INC(NameLiteral)                                         \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-  } while (false)
-#define ROPT_METRIC_GAUGE_SET(NameLiteral, Value)                            \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-    (void)sizeof(Value);                                                     \
-  } while (false)
-#define ROPT_METRIC_OBSERVE(NameLiteral, Value, ...)                         \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-    (void)sizeof(Value);                                                     \
-  } while (false)
-
-#endif // ROPT_OBSERVABILITY
 
 #endif // ROPT_SUPPORT_METRICS_H

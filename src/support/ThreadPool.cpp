@@ -5,6 +5,7 @@
 #include "support/Trace.h"
 
 #include <atomic>
+#include <latch>
 
 using namespace ropt;
 
@@ -16,13 +17,18 @@ size_t ThreadPool::defaultThreadCount() {
 ThreadPool::ThreadPool(size_t Threads) {
   if (Threads == 0)
     Threads = defaultThreadCount();
+  // Every worker registers its trace lane name before the constructor
+  // returns, so the names are complete however few tasks the pool runs.
+  std::latch Registered(static_cast<std::ptrdiff_t>(Threads));
   Workers.reserve(Threads);
   for (size_t I = 0; I != Threads; ++I)
-    Workers.emplace_back([this, I] {
+    Workers.emplace_back([this, I, &Registered] {
       TraceRecorder::instance().setCurrentThreadName(
           "worker-" + std::to_string(I));
+      Registered.count_down();
       workerMain();
     });
+  Registered.wait();
 }
 
 ThreadPool::~ThreadPool() {

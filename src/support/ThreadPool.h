@@ -30,7 +30,8 @@ namespace ropt {
 
 class ThreadPool {
 public:
-  /// \p Threads = 0 picks the hardware concurrency.
+  /// \p Threads = 0 picks the hardware concurrency. Returns once every
+  /// worker has registered its "worker-N" trace thread name.
   explicit ThreadPool(size_t Threads = 0);
   /// Drains nothing: queued-but-unstarted tasks are abandoned (their
   /// futures get a broken_promise), running tasks finish, threads join.

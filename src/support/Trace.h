@@ -11,8 +11,7 @@
 /// the recorder exports Chrome `trace_event`-format JSON (loadable in
 /// chrome://tracing or https://ui.perfetto.dev) and a compact JSONL
 /// stream. Recording is off by default and costs a single relaxed atomic
-/// load per site while disabled; building with `ROPT_OBSERVABILITY=0`
-/// compiles every site out entirely.
+/// load per site while disabled.
 ///
 /// Span and counter names must be string literals (the recorder stores
 /// the pointer, not a copy). Naming convention: `layer.verb_or_noun`,
@@ -23,10 +22,6 @@
 
 #ifndef ROPT_SUPPORT_TRACE_H
 #define ROPT_SUPPORT_TRACE_H
-
-#ifndef ROPT_OBSERVABILITY
-#define ROPT_OBSERVABILITY 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -163,8 +158,6 @@ private:
 #define ROPT_TRACE_CONCAT_IMPL(A, B) A##B
 #define ROPT_TRACE_CONCAT(A, B) ROPT_TRACE_CONCAT_IMPL(A, B)
 
-#if ROPT_OBSERVABILITY
-
 /// Opens a span covering the rest of the enclosing scope.
 #define ROPT_TRACE_SPAN(NameLiteral)                                         \
   ::ropt::ScopedSpan ROPT_TRACE_CONCAT(RoptTraceSpan, __LINE__)(NameLiteral)
@@ -186,30 +179,5 @@ private:
     if (RoptTraceRec.enabled())                                              \
       RoptTraceRec.recordInstant(NameLiteral);                               \
   } while (false)
-
-#else // !ROPT_OBSERVABILITY
-
-// sizeof() marks the operands used without evaluating them, keeping the
-// disabled build warning-clean under -Wall -Wextra.
-#define ROPT_TRACE_SPAN(NameLiteral)                                         \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-  } while (false)
-#define ROPT_TRACE_SPAN_V(NameLiteral, Value)                                \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-    (void)sizeof(Value);                                                     \
-  } while (false)
-#define ROPT_TRACE_COUNTER(NameLiteral, Value)                               \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-    (void)sizeof(Value);                                                     \
-  } while (false)
-#define ROPT_TRACE_INSTANT(NameLiteral)                                      \
-  do {                                                                       \
-    (void)sizeof(NameLiteral);                                               \
-  } while (false)
-
-#endif // ROPT_OBSERVABILITY
 
 #endif // ROPT_SUPPORT_TRACE_H

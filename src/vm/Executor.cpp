@@ -7,39 +7,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "vm/IntOps.h"
 #include "vm/Runtime.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 using namespace ropt;
 using namespace ropt::vm;
 
 namespace {
-
-int64_t safeDiv(int64_t A, int64_t B) {
-  if (B == -1 && A == std::numeric_limits<int64_t>::min())
-    return A;
-  return A / B;
-}
-
-int64_t safeRem(int64_t A, int64_t B) {
-  if (B == -1 && A == std::numeric_limits<int64_t>::min())
-    return 0;
-  return A % B;
-}
-
-int64_t doubleToInt(double D) {
-  if (std::isnan(D))
-    return 0;
-  if (D >= 9.2233720368547758e18)
-    return std::numeric_limits<int64_t>::max();
-  if (D <= -9.2233720368547758e18)
-    return std::numeric_limits<int64_t>::min();
-  return static_cast<int64_t>(D);
-}
 
 double runIntrinsic(IntrinsicKind Kind, const Value *Args) {
   switch (Kind) {
@@ -165,15 +143,15 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       break;
 
     case MOpcode::MAddI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() + R[I.C].asI64());
+      R[I.A] = Value::fromI64(wrapAdd(R[I.B].asI64(), R[I.C].asI64()));
       charge(Costs.AluCycles);
       break;
     case MOpcode::MSubI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() - R[I.C].asI64());
+      R[I.A] = Value::fromI64(wrapSub(R[I.B].asI64(), R[I.C].asI64()));
       charge(Costs.AluCycles);
       break;
     case MOpcode::MMulI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() * R[I.C].asI64());
+      R[I.A] = Value::fromI64(wrapMul(R[I.B].asI64(), R[I.C].asI64()));
       charge(Costs.MulCycles);
       break;
     case MOpcode::MDivI: {
@@ -184,7 +162,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         Trap = TrapKind::DivByZero;
         break;
       }
-      R[I.A] = Value::fromI64(safeDiv(R[I.B].asI64(), Divisor));
+      R[I.A] = Value::fromI64(javaDiv(R[I.B].asI64(), Divisor));
       charge(Costs.DivCycles);
       break;
     }
@@ -194,7 +172,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         Trap = TrapKind::DivByZero;
         break;
       }
-      R[I.A] = Value::fromI64(safeRem(R[I.B].asI64(), Divisor));
+      R[I.A] = Value::fromI64(javaRem(R[I.B].asI64(), Divisor));
       charge(Costs.DivCycles);
       break;
     }
@@ -211,17 +189,15 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       charge(Costs.AluCycles);
       break;
     case MOpcode::MShlI:
-      R[I.A] = Value::fromI64(R[I.B].asI64()
-                                 << (R[I.C].asI64() & 63));
+      R[I.A] = Value::fromI64(shiftLeft(R[I.B].asI64(), R[I.C].asI64()));
       charge(Costs.AluCycles);
       break;
     case MOpcode::MShrI:
-      R[I.A] =
-          Value::fromI64(R[I.B].asI64() >> (R[I.C].asI64() & 63));
+      R[I.A] = Value::fromI64(shiftRight(R[I.B].asI64(), R[I.C].asI64()));
       charge(Costs.AluCycles);
       break;
     case MOpcode::MNegI:
-      R[I.A] = Value::fromI64(-R[I.B].asI64());
+      R[I.A] = Value::fromI64(wrapNeg(R[I.B].asI64()));
       charge(Costs.AluCycles);
       break;
 

@@ -15,12 +15,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "vm/IntOps.h"
 #include "vm/Runtime.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ROPT_UNLIKELY(x) __builtin_expect(!!(x), 0)
@@ -30,32 +30,6 @@
 
 using namespace ropt;
 using namespace ropt::vm;
-
-namespace {
-
-int64_t safeDiv(int64_t A, int64_t B) {
-  if (B == -1 && A == std::numeric_limits<int64_t>::min())
-    return A; // wraps, as AArch64 sdiv does
-  return A / B;
-}
-
-int64_t safeRem(int64_t A, int64_t B) {
-  if (B == -1 && A == std::numeric_limits<int64_t>::min())
-    return 0;
-  return A % B;
-}
-
-int64_t doubleToInt(double D) {
-  if (std::isnan(D))
-    return 0;
-  if (D >= 9.2233720368547758e18)
-    return std::numeric_limits<int64_t>::max();
-  if (D <= -9.2233720368547758e18)
-    return std::numeric_limits<int64_t>::min();
-  return static_cast<int64_t>(D);
-}
-
-} // namespace
 
 Value Runtime::interpret(const dex::Method &M,
                          const std::vector<Value> &Args) {
@@ -122,15 +96,15 @@ Value Runtime::interpret(const dex::Method &M,
       break;
 
     case Opcode::AddI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() + R[I.C].asI64());
+      R[I.A] = Value::fromI64(wrapAdd(R[I.B].asI64(), R[I.C].asI64()));
       charge(CM.AluCycles);
       break;
     case Opcode::SubI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() - R[I.C].asI64());
+      R[I.A] = Value::fromI64(wrapSub(R[I.B].asI64(), R[I.C].asI64()));
       charge(CM.AluCycles);
       break;
     case Opcode::MulI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() * R[I.C].asI64());
+      R[I.A] = Value::fromI64(wrapMul(R[I.B].asI64(), R[I.C].asI64()));
       charge(CM.MulCycles);
       break;
     case Opcode::DivI:
@@ -143,8 +117,8 @@ Value Runtime::interpret(const dex::Method &M,
       }
       int64_t Dividend = R[I.B].asI64();
       R[I.A] = Value::fromI64(I.Op == Opcode::DivI
-                                  ? safeDiv(Dividend, Divisor)
-                                  : safeRem(Dividend, Divisor));
+                                  ? javaDiv(Dividend, Divisor)
+                                  : javaRem(Dividend, Divisor));
       charge(CM.DivCycles);
       break;
     }
@@ -161,15 +135,15 @@ Value Runtime::interpret(const dex::Method &M,
       charge(CM.AluCycles);
       break;
     case Opcode::ShlI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() << (R[I.C].asI64() & 63));
+      R[I.A] = Value::fromI64(shiftLeft(R[I.B].asI64(), R[I.C].asI64()));
       charge(CM.AluCycles);
       break;
     case Opcode::ShrI:
-      R[I.A] = Value::fromI64(R[I.B].asI64() >> (R[I.C].asI64() & 63));
+      R[I.A] = Value::fromI64(shiftRight(R[I.B].asI64(), R[I.C].asI64()));
       charge(CM.AluCycles);
       break;
     case Opcode::NegI:
-      R[I.A] = Value::fromI64(-R[I.B].asI64());
+      R[I.A] = Value::fromI64(wrapNeg(R[I.B].asI64()));
       charge(CM.AluCycles);
       break;
 

@@ -2,6 +2,8 @@
 
 #include "vm/Native.h"
 
+#include "vm/IntOps.h"
+
 #include <cmath>
 
 using namespace ropt;
@@ -86,7 +88,7 @@ NativeRegistry NativeRegistry::standardLibrary() {
         20000);
   R.add("decodeAsset",
         [](NativeContext &, const std::vector<Value> &Args) {
-          return Value::fromI64(Args[0].asI64() * 2654435761LL);
+          return Value::fromI64(wrapMul(Args[0].asI64(), 2654435761LL));
         },
         4000);
 

@@ -41,15 +41,9 @@ if(NOT Rc EQUAL 0)
   message(FATAL_ERROR "fleet_scale --jobs 8 --report ${RunB} failed (${Rc})")
 endif()
 
-# An ROPT_OBSERVABILITY=0 build intentionally ships no trace/metrics
-# snapshots (the manifest records observability:false); everything else
-# is required in every config.
 file(READ "${RunA}/manifest.json" Manifest)
 set(Artifacts manifest.json evaluations.jsonl generations.jsonl
-    fleet.jsonl telemetry.json fleet.trace.json)
-if(NOT Manifest MATCHES "\"observability\"[ \t]*:[ \t]*false")
-  list(APPEND Artifacts metrics.json trace.json)
-endif()
+    fleet.jsonl telemetry.json fleet.trace.json metrics.json trace.json)
 foreach(Artifact IN LISTS Artifacts)
   if(NOT EXISTS "${RunA}/${Artifact}")
     message(FATAL_ERROR "missing artifact ${RunA}/${Artifact}")
@@ -81,7 +75,7 @@ execute_process(
 if(NOT Rc EQUAL 0)
   message(FATAL_ERROR "ropt-report validate failed (${Rc}):\n${Out}${Err}")
 endif()
-if(Err MATCHES "warning:" AND NOT Err MATCHES "ROPT_OBSERVABILITY=0")
+if(Err MATCHES "warning:")
   message(FATAL_ERROR "validate warned on a complete fleet run:\n${Err}")
 endif()
 

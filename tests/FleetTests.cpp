@@ -526,10 +526,8 @@ TEST(FleetCoordinator, FourDevicesFindAtLeastTheSingleDeviceBest) {
 // --- (c) Safety: unsound hints are re-verified, rejected, quarantined -------
 
 TEST(FleetCoordinator, UnsoundHintIsRejectedByVerificationAndQuarantined) {
-#if ROPT_OBSERVABILITY
   uint64_t RejectedBefore =
       Metrics::instance().snapshot().counter("fleet.hints_rejected");
-#endif
 
   fleet::Server Srv;
   search::Genome Evil = unsoundGenome();
@@ -547,11 +545,9 @@ TEST(FleetCoordinator, UnsoundHintIsRejectedByVerificationAndQuarantined) {
   // counted and reported back.
   EXPECT_GT(R.HintsRejected, 0u);
   EXPECT_NE(R.BestGenome, Evil.name());
-#if ROPT_OBSERVABILITY
   uint64_t RejectedAfter =
       Metrics::instance().snapshot().counter("fleet.hints_rejected");
   EXPECT_GT(RejectedAfter, RejectedBefore);
-#endif
 
   // The server quarantined the genome on the first rejection report: it
   // is out of the hint set for good.
@@ -663,10 +659,8 @@ TEST(FleetWarmStart, WarmStartedSearchIsNoWorseThanColdAtSameBudget) {
 // --- Telemetry: sketches, provenance chains, bounded buffers ----------------
 
 TEST(FleetTelemetry, SketchMergeIsAssociativeAndCommutative) {
-  using fleet::TelemetrySketch;
-  TelemetrySketch A(TelemetrySketch::Kind::Speedup);
-  TelemetrySketch B(TelemetrySketch::Kind::Speedup);
-  TelemetrySketch C(TelemetrySketch::Kind::Speedup);
+  const Histogram::Snapshot Empty = fleet::SketchSet().Speedup;
+  Histogram::Snapshot A = Empty, B = Empty, C = Empty;
   for (double V : {0.4, 1.1, 2.2})
     A.observe(V);
   B.observe(1.6);
@@ -676,25 +670,25 @@ TEST(FleetTelemetry, SketchMergeIsAssociativeAndCommutative) {
   // (A + B) + C == A + (B + C) == C + B + A on the counts — fixed bounds
   // make the merge a plain bucket-wise sum, which is what lets device
   // sketches roll up to class, cell and fleet totals in any grouping.
-  TelemetrySketch L = A;
+  Histogram::Snapshot L = A;
   L += B;
   L += C;
-  TelemetrySketch BC = B;
+  Histogram::Snapshot BC = B;
   BC += C;
-  TelemetrySketch R = A;
+  Histogram::Snapshot R = A;
   R += BC;
-  TelemetrySketch Rev = C;
+  Histogram::Snapshot Rev = C;
   Rev += B;
   Rev += A;
-  EXPECT_EQ(L.counts(), R.counts());
-  EXPECT_EQ(L.counts(), Rev.counts());
-  EXPECT_EQ(L.count(), 6u);
-  EXPECT_EQ(L.min(), 0.4);
-  EXPECT_EQ(L.max(), 9.0);
-  EXPECT_DOUBLE_EQ(L.sum(), R.sum());
-  // The snapshot view powers the report layer's quantile tables.
-  EXPECT_GT(L.snapshot().quantile(0.5), 0.0);
-  EXPECT_LE(L.snapshot().quantile(0.5), L.snapshot().quantile(0.95));
+  EXPECT_EQ(L.Counts, R.Counts);
+  EXPECT_EQ(L.Counts, Rev.Counts);
+  EXPECT_EQ(L.Count, 6u);
+  EXPECT_EQ(L.Min, 0.4);
+  EXPECT_EQ(L.Max, 9.0);
+  EXPECT_DOUBLE_EQ(L.Sum, R.Sum);
+  // The same value type powers the report layer's quantile tables.
+  EXPECT_GT(L.quantile(0.5), 0.0);
+  EXPECT_LE(L.quantile(0.5), L.quantile(0.95));
 }
 
 TEST(FleetTelemetry, TelemetryAndTraceAreIdenticalAcrossJobsAndReruns) {
@@ -710,7 +704,7 @@ TEST(FleetTelemetry, TelemetryAndTraceAreIdenticalAcrossJobsAndReruns) {
   // The rendered telemetry (sketches + chains) is a pure function of the
   // simulation: byte-identical at any --jobs and across reruns.
   EXPECT_FALSE(Serial.Telemetry.Chains.empty());
-  EXPECT_GT(Serial.Telemetry.Total.StepTicks.count(), 0u);
+  EXPECT_GT(Serial.Telemetry.Total.StepTicks.Count, 0u);
   EXPECT_EQ(Serial.Telemetry.json(), Parallel.Telemetry.json());
   EXPECT_EQ(Serial.Telemetry.json(), Rerun.Telemetry.json());
 
@@ -767,7 +761,7 @@ TEST(FleetTelemetry, ProvenanceChainFollowsTheWinningGenome) {
     EXPECT_GE(C.FirstAdoptDevice, 0);
   }
   EXPECT_TRUE(AnyAdopted);
-  EXPECT_GT(R.Telemetry.Total.HintLatency.count(), 0u);
+  EXPECT_GT(R.Telemetry.Total.HintLatency.Count, 0u);
 }
 
 TEST(FleetTelemetry, BoundedBuffersDropOldestWithoutChangingResults) {
@@ -793,8 +787,8 @@ TEST(FleetTelemetry, BoundedBuffersDropOldestWithoutChangingResults) {
   // not change a single search outcome, and the aggregate sketches and
   // chains (leaderboard-like state, not buffered events) stay complete.
   EXPECT_EQ(Wide.digest(), Tight.digest());
-  EXPECT_EQ(Wide.Telemetry.Total.Speedup.count(),
-            Tight.Telemetry.Total.Speedup.count());
+  EXPECT_EQ(Wide.Telemetry.Total.Speedup.Count,
+            Tight.Telemetry.Total.Speedup.Count);
   EXPECT_EQ(Wide.Telemetry.Chains.size(), Tight.Telemetry.Chains.size());
 }
 

@@ -168,9 +168,7 @@ private:
 
 bool jsonValid(const std::string &S) { return JsonChecker(S).valid(); }
 
-// Only the ROPT_OBSERVABILITY-gated smoke test below queries spans.
-[[maybe_unused]] bool hasSpan(const std::vector<TraceEvent> &Events,
-                              const char *Name) {
+bool hasSpan(const std::vector<TraceEvent> &Events, const char *Name) {
   return std::any_of(Events.begin(), Events.end(),
                      [Name](const TraceEvent &E) {
                        return E.Ph == TraceEvent::Phase::Complete &&
@@ -485,9 +483,7 @@ TEST(MetricsTest, TextAndJsonDumps) {
   EXPECT_NE(Json.find("\"histograms\""), std::string::npos);
 }
 
-#if ROPT_OBSERVABILITY
-
-// --- The instrumentation macros (compiled out when OFF) ---------------------
+// --- The instrumentation macros ---------------------------------------------
 
 TEST(Trace, MacrosRecordWhenEnabled) {
   TraceSession Session;
@@ -585,5 +581,3 @@ TEST(ObservabilityPipeline, SmokeCountersAndSpans) {
             static_cast<int>(Report.Trace.Evaluations.size()));
   EXPECT_EQ(LoggedEvals + 2, Report.Counters.total());
 }
-
-#endif // ROPT_OBSERVABILITY

@@ -4,8 +4,8 @@
 // exception propagation, jobs-invariant determinism (bit-identical
 // results at any worker count), two-level memoization accounting, and
 // the Result error plumbing into EvalKind. These tests carry the
-// "parallel" ctest label and are the ThreadSanitizer targets
-// (-Dropt_tsan=ON).
+// "parallel" ctest label and are the ThreadSanitizer targets (a
+// -fsanitize=thread build, see the CI tsan job).
 //
 //===----------------------------------------------------------------------===//
 
@@ -398,7 +398,6 @@ TEST(EvaluationEngine, MemoizeOffReplaysEveryBatch) {
   EXPECT_EQ(Engine.cacheStats().GenomeHits, 0u);
 }
 
-#if ROPT_OBSERVABILITY
 TEST(EvaluationEngine, CacheMetricsArePublished) {
   Metrics::instance().reset();
   std::atomic<int> Compiles{0}, Measures{0};
@@ -417,7 +416,6 @@ TEST(EvaluationEngine, CacheMetricsArePublished) {
             Engine.cacheStats().hits());
   Metrics::instance().reset();
 }
-#endif
 
 // --- Evaluation defaults and error mapping -----------------------------------
 

@@ -351,11 +351,7 @@ TEST(RunDiff, FlagsVerdictMixShifts) {
   EXPECT_FALSE(D.regressed());
 }
 
-// --- Older-schema run directories -------------------------------------------
-//
-// Run directories written before measurement racing and the fleet layer
-// (manifest schema 1, no racing block, no fleet section, no fleet.jsonl)
-// must still load, validate without problems, summarize and diff.
+// --- Fleet artifacts and the single manifest schema ------------------------
 
 namespace {
 
@@ -365,81 +361,11 @@ void writeRawFile(const std::string &Path, const std::string &Content) {
   ASSERT_TRUE(Out.good()) << "cannot write " << Path;
 }
 
-/// A minimal schema-1 run directory, as the pre-racing pre-fleet tool
-/// wrote them: evaluation records without racing provenance fields, app
-/// manifest entries without "racing", no fleet artifacts at all.
-void synthesizeSchema1Run(const std::string &Dir) {
-  std::filesystem::create_directories(Dir);
-  writeRawFile(
-      Dir + "/manifest.json",
-      "{\"schema\":1,\"tool\":\"synth_v1\",\"git\":\"deadbee\","
-      "\"seed\":1,\"jobs\":1,\"fast\":false,"
-      "\"config\":{\"generations\":2,\"population\":4},"
-      "\"wall_seconds\":0.5,\"evaluations\":2,"
-      "\"apps\":[{\"name\":\"Synth\",\"succeeded\":true,\"failure\":null,"
-      "\"verdicts\":{\"ok\":1,\"compile_error\":0,\"runtime_crash\":1,"
-      "\"runtime_timeout\":0,\"wrong_output\":0,\"total\":2},"
-      "\"cache\":{\"genome_hits\":0,\"binary_hits\":0,\"misses\":2,"
-      "\"hit_rate\":0},"
-      "\"region_android_cycles\":200,\"region_o3_cycles\":150,"
-      "\"region_best_cycles\":100,"
-      "\"speedup_ga_over_android\":2,\"speedup_ga_over_o3\":1.5}],"
-      "\"totals\":{\"verdicts\":{\"ok\":1,\"total\":2},"
-      "\"cache\":{\"misses\":2}}}");
-  writeRawFile(
-      Dir + "/evaluations.jsonl",
-      "{\"id\":1,\"app\":\"Synth\",\"gen\":0,\"genome\":\"g1\","
-      "\"parents\":[],\"verdict\":\"ok\",\"error\":null,"
-      "\"cache\":\"miss\",\"median_cycles\":100,\"ci_low\":99,"
-      "\"ci_high\":101,\"samples\":[100],\"code_size\":10,"
-      "\"binary_hash\":\"0x0000000000000001\"}\n"
-      "{\"id\":2,\"app\":\"Synth\",\"gen\":0,\"genome\":\"g2\","
-      "\"parents\":[1],\"verdict\":\"runtime-crash\","
-      "\"error\":\"replay-crash\",\"cache\":\"miss\","
-      "\"median_cycles\":0,\"ci_low\":0,\"ci_high\":0,\"samples\":[],"
-      "\"code_size\":0,\"binary_hash\":\"0x0000000000000000\"}\n");
-  writeRawFile(Dir + "/generations.jsonl",
-               "{\"app\":\"Synth\",\"gen\":0,\"evaluations\":2,"
-               "\"invalid\":1,\"best_cycles\":100,\"worst_cycles\":100,"
-               "\"mean_cycles\":100}\n");
-}
-
 } // namespace
-
-TEST(RunDiff, ToleratesPreFleetSchema1RunDirectories) {
-  TempRunDir Dir("ropt_schema1");
-  synthesizeSchema1Run(Dir.str());
-
-  support::Result<report::LoadedRun> Loaded = report::loadRun(Dir.str());
-  ASSERT_TRUE(Loaded.ok()) << Loaded.error().Message;
-  const report::LoadedRun &Run = Loaded.value();
-  EXPECT_FALSE(Run.HasFleetLog);
-  EXPECT_TRUE(Run.Fleet.empty());
-
-  // Missing racing/fleet sections are at most warnings, never problems.
-  report::ValidationResult V = report::validateRun(Run);
-  EXPECT_TRUE(V.ok()) << (V.Problems.empty() ? "" : V.Problems.front());
-  EXPECT_TRUE(V.Warnings.empty());
-
-  // Summarize must not crash on the missing racing block or fleet data.
-  std::string Summary = report::summarize(Run);
-  EXPECT_NE(Summary.find("Synth"), std::string::npos);
-  EXPECT_EQ(Summary.find("replay budget"), std::string::npos);
-  EXPECT_EQ(Summary.find("fleet"), std::string::npos);
-
-  // Diffing a schema-1 baseline against a current-schema run works: the
-  // gate only needs the evaluation stream both schemas share.
-  TempRunDir NewDir("ropt_schema2_vs_1");
-  synthesizeRun(NewDir.str(), {100.0}, 1);
-  report::LoadedRun NewRun = report::loadRun(NewDir.str()).value();
-  report::DiffResult D = report::diffRuns(Run, NewRun);
-  EXPECT_FALSE(D.regressed());
-  EXPECT_FALSE(report::diffRuns(Run, Run).regressed());
-}
 
 TEST(RunDiff, WarnsButDoesNotFailOnFleetArtifactMismatch) {
   TempRunDir Dir("ropt_fleet_mismatch");
-  synthesizeSchema1Run(Dir.str());
+  synthesizeRun(Dir.str(), {100.0}, 1);
   // A stray fleet.jsonl next to a manifest with no fleet section: the
   // validator flags it as a warning, not a gate failure.
   writeRawFile(Dir.str() + "/fleet.jsonl",
@@ -458,14 +384,14 @@ TEST(RunDiff, WarnsButDoesNotFailOnFleetArtifactMismatch) {
   EXPECT_TRUE(Run.Fleet[0].BestFromHint);
 
   report::ValidationResult V = report::validateRun(Run);
-  EXPECT_TRUE(V.ok());
+  EXPECT_TRUE(V.ok()) << (V.Problems.empty() ? "" : V.Problems.front());
   ASSERT_FALSE(V.Warnings.empty());
   EXPECT_NE(V.Warnings.front().find("fleet"), std::string::npos);
 }
 
 TEST(RunDiff, FlagsInternallyInconsistentFleetRecords) {
   TempRunDir Dir("ropt_fleet_bad");
-  synthesizeSchema1Run(Dir.str());
+  synthesizeRun(Dir.str(), {100.0}, 1);
   // adopted + rejected exceeds received, and the source spelling is
   // unknown: both are validation problems.
   writeRawFile(Dir.str() + "/fleet.jsonl",
@@ -481,6 +407,25 @@ TEST(RunDiff, FlagsInternallyInconsistentFleetRecords) {
   report::ValidationResult V = report::validateRun(Run);
   EXPECT_FALSE(V.ok());
   EXPECT_GE(V.Problems.size(), 2u);
+}
+
+TEST(RunDiff, LoadRunRejectsOlderManifestSchema) {
+  TempRunDir Dir("ropt_schema7");
+  synthesizeRun(Dir.str(), {100.0}, 0);
+  std::string Manifest = slurpFile(Dir.str() + "/manifest.json");
+  const std::string Current = "\"schema\":8,";
+  size_t At = Manifest.find(Current);
+  ASSERT_NE(At, std::string::npos) << Manifest;
+  writeRawFile(Dir.str() + "/manifest.json",
+               Manifest.replace(At, Current.size(), "\"schema\":7,"));
+
+  support::Result<report::LoadedRun> Run = report::loadRun(Dir.str());
+  ASSERT_FALSE(Run.ok());
+  EXPECT_NE(Run.error().Message.find(
+                "run directory has report schema 7; this ropt-report reads "
+                "only schema 8 — re-run the bench to regenerate it"),
+            std::string::npos)
+      << Run.error().Message;
 }
 
 TEST(RunDiff, FleetGateFlagsBestSpeedupRegressions) {
@@ -545,8 +490,6 @@ TEST(BenchParseArgs, ParsesReportFlag) {
 }
 
 /// True when some validation warning mentions the loader-stats check.
-/// (Match by substring, not position or count: observability-off builds
-/// add an unrelated warning about the absent trace/metrics files.)
 static bool hasLoaderWarning(const report::ValidationResult &V) {
   for (const std::string &W : V.Warnings)
     if (W.find("pages_restored") != std::string::npos)
@@ -555,7 +498,7 @@ static bool hasLoaderWarning(const report::ValidationResult &V) {
 }
 
 TEST(RunDiff, WarnsWhenFreshBackendsLostLoaderStats) {
-  // A schema-6 run claiming fresh (session_backends=false) backends must
+  // A run claiming fresh (session_backends=false) backends must
   // show loader work in metrics.json: replays without pages_restored mean
   // the LoaderStats plumbing regressed (the pre-session-fix bug).
   auto MakeRun = [](TempRunDir &Dir, double PagesRestored) {
@@ -641,7 +584,7 @@ TEST(RunReport, ReplayBackendSectionRoundTrips) {
 
   auto Run = report::loadRun(Dir.str());
   ASSERT_TRUE(Run.ok()) << Run.error().Message;
-  EXPECT_EQ(Run.value().Manifest.number("schema"), 7.0);
+  EXPECT_EQ(Run.value().Manifest.number("schema"), 8.0);
   const json::Value *Config = Run.value().Manifest.find("config");
   ASSERT_NE(Config, nullptr);
   EXPECT_TRUE(Config->find("session_backends") != nullptr);

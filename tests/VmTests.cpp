@@ -1,12 +1,16 @@
 //===- tests/VmTests.cpp - vm/ unit tests ------------------------------------===//
 
 #include "dex/Builder.h"
+#include "hgraph/AndroidCompiler.h"
+#include "support/Random.h"
 #include "vm/Heap.h"
+#include "vm/IntOps.h"
 #include "vm/Runtime.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 using namespace ropt;
@@ -684,4 +688,123 @@ TEST(Layout, RuntimeImageDependsOnlyOnBootId) {
 
   EXPECT_EQ(ImageBytes(1), ImageBytes(1));
   EXPECT_NE(ImageBytes(1), ImageBytes(2));
+}
+
+// --- Integer semantics: folder == interpreter == executor --------------------
+
+TEST(IntSemantics, FolderInterpreterAndExecutorAgreeOnEdgeOperands) {
+  // One method `name(a, b)` per integer op (neg ignores b), plus f2i(d).
+  using FB = FunctionBuilder;
+  const struct {
+    const char *Name;
+    MOpcode Op;                               ///< What the folders see.
+    void (FB::*Emit)(RegIdx, RegIdx, RegIdx); ///< Null for neg.
+  } Cases[] = {
+      {"add", MOpcode::MAddI, &FB::addI}, {"sub", MOpcode::MSubI, &FB::subI},
+      {"mul", MOpcode::MMulI, &FB::mulI}, {"div", MOpcode::MDivI, &FB::divI},
+      {"rem", MOpcode::MRemI, &FB::remI}, {"and", MOpcode::MAndI, &FB::andI},
+      {"or", MOpcode::MOrI, &FB::orI},    {"xor", MOpcode::MXorI, &FB::xorI},
+      {"shl", MOpcode::MShlI, &FB::shlI}, {"shr", MOpcode::MShrI, &FB::shrI},
+      {"neg", MOpcode::MNegI, nullptr}};
+  DexBuilder B;
+  for (const auto &C : Cases) {
+    FB F = B.beginBody(B.declareFunction(InvalidId, C.Name, 2, true));
+    RegIdx R = F.newReg();
+    if (C.Emit)
+      (F.*C.Emit)(R, F.param(0), F.param(1));
+    else
+      F.negI(R, F.param(0));
+    F.ret(R);
+    B.endBody(F);
+  }
+  {
+    FB F = B.beginBody(B.declareFunction(InvalidId, "f2i", 1, true));
+    RegIdx R = F.newReg();
+    F.f2i(R, F.param(0));
+    F.ret(R);
+    B.endBody(F);
+  }
+  DexFile File = B.build();
+
+  VmEnv Interp(File);
+  Interp.RT->setMode(ExecMode::InterpretOnly);
+  VmEnv Compiled(File);
+  std::vector<MethodId> All;
+  for (const auto &M : File.methods())
+    All.push_back(M.Id);
+  hgraph::compileAllAndroid(File, All, Compiled.RT->codeCache());
+  for (MethodId Id : All)
+    ASSERT_NE(Compiled.RT->codeCache().lookup(Id), nullptr);
+
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t P31 = int64_t(1) << 31, P32 = int64_t(1) << 32;
+  const std::vector<int64_t> Edges = {0,   1,    -1,  Min, Max,
+                                      P31, -P31, P32, -P32};
+  std::vector<std::pair<int64_t, int64_t>> Operands;
+  for (int64_t X : Edges)
+    for (int64_t Y : Edges)
+      Operands.push_back({X, Y});
+  // Seeded random pairs mixing edges with raw 64-bit draws (which also
+  // exercise shift counts outside 0..63).
+  Rng R(12);
+  auto Draw = [&]() -> int64_t {
+    return R.below(2) ? Edges[R.below(Edges.size())]
+                      : static_cast<int64_t>(R.next());
+  };
+  for (int I = 0; I != 500; ++I)
+    Operands.push_back({Draw(), Draw()});
+
+  for (const auto &C : Cases) {
+    bool IsDiv = C.Op == MOpcode::MDivI || C.Op == MOpcode::MRemI;
+    for (auto [X, Y] : Operands) {
+      std::vector<Value> Args = {Value::fromI64(X), Value::fromI64(Y)};
+      CallResult I = Interp.run(C.Name, Args);
+      CallResult E = Compiled.run(C.Name, Args);
+      std::string Where = std::string(C.Name) + "(" + std::to_string(X) +
+                          ", " + std::to_string(Y) + ")";
+      ASSERT_EQ(I.Trap, IsDiv && Y == 0 ? TrapKind::DivByZero
+                                        : TrapKind::None)
+          << Where;
+      ASSERT_EQ(E.Trap, I.Trap) << Where;
+      if (I.Trap != TrapKind::None)
+        continue;
+      // The folders never fold div/rem (a zero divisor keeps its trap),
+      // so those compare against the shared Java definitions instead.
+      std::optional<int64_t> Folded = vm::foldIntOp(C.Op, X, Y);
+      EXPECT_EQ(Folded.has_value(), !IsDiv && C.Op != MOpcode::MNegI);
+      int64_t Want = C.Op == MOpcode::MNegI ? vm::wrapNeg(X)
+                     : C.Op == MOpcode::MDivI ? vm::javaDiv(X, Y)
+                     : C.Op == MOpcode::MRemI ? vm::javaRem(X, Y)
+                                              : *Folded;
+      EXPECT_EQ(I.Ret.asI64(), Want) << Where;
+      EXPECT_EQ(E.Ret.asI64(), Want) << Where;
+    }
+  }
+
+  // double -> long saturates and maps NaN to 0 in both tiers.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  std::vector<double> Doubles = {
+      0.0, -0.0, 0.5, -1.5, 2147483648.5, -4294967296.25,
+      9.2233720368547758e18, -9.2233720368547758e18, Inf, -Inf,
+      std::numeric_limits<double>::quiet_NaN()};
+  for (int I = 0; I != 100; ++I)
+    Doubles.push_back(R.uniform(-1e19, 1e19));
+  for (double D : Doubles) {
+    std::vector<Value> Args = {Value::fromF64(D)};
+    EXPECT_EQ(Interp.run("f2i", Args).Ret.asI64(), vm::doubleToInt(D)) << D;
+    EXPECT_EQ(Compiled.run("f2i", Args).Ret.asI64(), vm::doubleToInt(D))
+        << D;
+  }
+
+  // The agreed semantics are Java's: wrapping, and INT64_MIN / -1 wraps.
+  EXPECT_EQ(vm::wrapAdd(Max, 1), Min);
+  EXPECT_EQ(vm::wrapNeg(Min), Min);
+  EXPECT_EQ(vm::wrapMul(P32, P32), 0);
+  EXPECT_EQ(vm::javaDiv(Min, -1), Min);
+  EXPECT_EQ(vm::javaRem(Min, -1), 0);
+  EXPECT_EQ(vm::shiftLeft(1, 64), 1);
+  EXPECT_EQ(vm::doubleToInt(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(vm::doubleToInt(Inf), Max);
+  EXPECT_EQ(vm::doubleToInt(-Inf), Min);
 }

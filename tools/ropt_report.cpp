@@ -27,7 +27,8 @@
 //                                            and flags duplicate keys
 //
 // Exit codes: 0 clean, 1 regressions/validation problems, 2 usage or
-// unreadable run/store directory.
+// unreadable run/store directory (including a run directory whose
+// manifest schema this ropt-report does not read).
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,8 +145,8 @@ int runValidate(int Argc, char **Argv) {
     return usage(Argv[0]);
   report::LoadedRun Run = loadOrExit(Argv[2]);
   report::ValidationResult V = report::validateRun(Run);
-  // Warnings (e.g. a pre-fleet run directory without a fleet section)
-  // are reported but do not fail the gate.
+  // Warnings (e.g. a truncated run directory missing an artifact) are
+  // reported but do not fail the gate.
   for (const std::string &W : V.Warnings)
     std::fprintf(stderr, "warning: %s\n", W.c_str());
   for (const std::string &P : V.Problems)
