@@ -30,6 +30,8 @@
 #include <set>
 #include <utility>
 
+#include <sys/resource.h>
+
 using namespace ropt;
 using namespace ropt::bench;
 
@@ -379,6 +381,12 @@ int main(int Argc, char **Argv) {
                 St->path().c_str(),
                 static_cast<unsigned long long>(Loaded.State.Nights + 1),
                 static_cast<unsigned long long>(Warm.HintsInjected));
+  // The high-water mark of the whole process (ru_maxrss is KiB on
+  // Linux); CI bounds it at install-base size.
+  rusage Usage;
+  getrusage(RUSAGE_SELF, &Usage);
+  std::printf("peak RSS: %.1f MiB\n",
+              static_cast<double>(Usage.ru_maxrss) / 1024.0);
   finishObservability(Opt);
   return AnyFailed ? 1 : 0;
 }

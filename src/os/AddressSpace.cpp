@@ -55,6 +55,17 @@ void AddressSpace::mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
     StructuralChange = true; // the snapshot no longer describes this space
 }
 
+void AddressSpace::mapShared(uint64_t Start,
+                             std::span<const PhysPageRef> Backing,
+                             uint8_t Prot, MappingKind Kind,
+                             const std::string &Name) {
+  mapRegion(Start, Backing.size() * PageSize, Prot, Kind, Name);
+  for (uint64_t I = 0; I != Backing.size(); ++I) {
+    assert(Backing[I] && "shared mapping needs materialized pages");
+    Pages.at(pageNumber(Start) + I).Phys = Backing[I];
+  }
+}
+
 void AddressSpace::unmapRegion(uint64_t Start, uint64_t Size) {
   uint64_t Bytes = roundUpToPage(Size);
   uint64_t FirstPage = pageNumber(Start);

@@ -30,6 +30,10 @@
 ///   armed snapshot is by construction already in the dirty set, so the
 ///   inline write path can skip the recording check.
 ///
+/// `mapShared()` maps physical pages another owner holds (the per-boot
+/// runtime image) into any number of spaces; the owner's reference keeps
+/// every such page shared, so writes CoW through the same funnel.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ROPT_OS_ADDRESS_SPACE_H
@@ -40,6 +44,7 @@
 #include <array>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -86,6 +91,15 @@ public:
   /// The range must not overlap an existing mapping.
   void mapRegion(uint64_t Start, uint64_t Size, uint8_t Prot,
                  MappingKind Kind, const std::string &Name);
+
+  /// Maps one page per entry of \p Backing at \p Start, backed by those
+  /// physical pages: every address space mapping them reads the same
+  /// memory, and the first write on any side transits ensurePrivate, which
+  /// CoW-copies the page for the writer alone. The caller must keep its
+  /// own reference to each page so no mapper ever sees it as private.
+  /// Same overlap and alignment rules as mapRegion.
+  void mapShared(uint64_t Start, std::span<const PhysPageRef> Backing,
+                 uint8_t Prot, MappingKind Kind, const std::string &Name);
 
   /// Unmaps every page in [Start, Start+Size). Pages outside any mapping
   /// are ignored. Mappings fully contained in the range are removed;

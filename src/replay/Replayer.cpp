@@ -63,29 +63,6 @@ public:
 
 } // namespace
 
-os::AddressSpace &Replayer::bootTemplate(const capture::Capture &Cap) {
-  auto It = BootTemplates.find(Cap.BootId);
-  if (It != BootTemplates.end())
-    return It->second;
-
-  AddressSpace Template;
-  Rng ImageRng(0xb007ULL * 2654435761ULL + Cap.BootId);
-  for (const Mapping &M : Cap.Mappings) {
-    if (M.Kind != MappingKind::RuntimeImage)
-      continue;
-    Template.mapRegion(M.Start, M.sizeBytes(), os::ProtRead, M.Kind,
-                       M.Name);
-    for (uint64_t Offset = 0; Offset < M.sizeBytes(); Offset += 64) {
-      uint64_t Words[8];
-      for (uint64_t &W : Words)
-        W = ImageRng.next();
-      (void)Template.poke(M.Start + Offset, Words, sizeof(Words));
-    }
-  }
-  return BootTemplates.emplace(Cap.BootId, std::move(Template))
-      .first->second;
-}
-
 uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
   // FNV-1a over the capture's structure plus a light content sample: a
   // capture mutated in place under a live session must not replay against
@@ -124,11 +101,10 @@ uint64_t Replayer::captureFingerprint(const capture::Capture &Cap) {
 
 os::AddressSpace Replayer::buildRestoredSpace(const capture::Capture &Cap,
                                               LoaderStats &Loader) {
-  // Start from the per-boot template: runtime-image pages shared CoW.
-  AddressSpace Space = bootTemplate(Cap).forkClone();
+  AddressSpace Space;
 
   // --- Stage 0: the loader occupies an ASLR-randomized base, chosen
-  // below the runtime image so it never lands on template pages but can
+  // below the runtime image so it never lands on the image pages but can
   // genuinely collide with code/data/heap mappings. --------------------
   uint64_t LoaderBase =
       os::pageBase(0x10000000 + AslrRng.below(0x58000000));
@@ -143,8 +119,15 @@ os::AddressSpace Replayer::buildRestoredSpace(const capture::Capture &Cap,
 
   for (const Mapping &M : Cap.Mappings) {
     if (M.Kind == MappingKind::RuntimeImage) {
+      // Common to every process of the boot: map the host process's
+      // shared image pages (copy-on-write) instead of restoring bytes.
+      assert(M.Start == vm::Layout::RuntimeImageBase &&
+             M.sizeBytes() == vm::Layout::RuntimeImageSize &&
+             "runtime image outside the standard layout");
+      Space.mapShared(M.Start, vm::Runtime::imagePages(Cap.BootId),
+                      os::ProtRead, M.Kind, M.Name);
       Loader.CommonPagesMapped += M.pageCount();
-      continue; // mapped via the boot template
+      continue;
     }
     bool CollidesWithLoader =
         M.Start < LoaderBase + LoaderPages * PageSize &&
@@ -273,8 +256,11 @@ ReplayResult Replayer::replayImpl(
   }
   if (It == Sessions.end()) {
     Session S;
-    S.Space = buildRestoredSpace(Cap, S.Loader);
-    S.Space.takeSnapshot();
+    {
+      ROPT_TRACE_SPAN("replay.session_build");
+      S.Space = buildRestoredSpace(Cap, S.Loader);
+      S.Space.takeSnapshot();
+    }
     S.Fingerprint = Fp;
     It = Sessions.emplace(&Cap, std::move(S)).first;
     ++SessStats.SessionsCreated;
@@ -289,7 +275,11 @@ ReplayResult Replayer::replayImpl(
   if (PostRun)
     PostRun(S.Space, Out.Result);
 
-  int64_t Reverted = S.Space.resetToSnapshot();
+  int64_t Reverted;
+  {
+    ROPT_TRACE_SPAN("replay.session_reset");
+    Reverted = S.Space.resetToSnapshot();
+  }
   if (Reverted < 0) {
     // Structural change during the region (never happens for well-formed
     // workloads — the heap never unmaps). Drop the session; the next

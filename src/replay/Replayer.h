@@ -19,11 +19,11 @@
 ///
 /// **Replay sessions (fork-server mode, DESIGN.md §16).** With
 /// `setSessionMode(true)`, the Replayer keeps one pristine restored
-/// address space per capture: the boot template is forked once, the
-/// loader runs once, and a snapshot is taken of the final restored
-/// layout. Every replay then executes directly against that space and is
-/// followed by a dirty-page delta reset (`os::AddressSpace::
-/// resetToSnapshot`) that reverts exactly the pages the region wrote.
+/// address space per capture: the loader runs once, and a snapshot is
+/// taken of the final restored layout. Every replay then executes
+/// directly against that space and is followed by a dirty-page delta
+/// reset (`os::AddressSpace::resetToSnapshot`) that reverts exactly the
+/// pages the region wrote.
 /// Because the reset restores bit-identical pre-region memory and every
 /// replay still gets a fresh `vm::Runtime` (cache simulator, branch
 /// predictor, cycle totals), session replays produce byte-identical
@@ -186,8 +186,9 @@ private:
              const std::function<void(os::AddressSpace &,
                                       const vm::CallResult &)> &PostRun);
 
-  /// Stages 0-3: fork the boot template and run the loader dance until
-  /// the space holds exactly the captured layout. Fills \p Loader.
+  /// Stages 0-3: map the boot's shared runtime image
+  /// (vm::Runtime::imagePages) and run the loader dance until the space
+  /// holds exactly the captured layout. Fills \p Loader.
   os::AddressSpace buildRestoredSpace(const capture::Capture &Cap,
                                       LoaderStats &Loader);
 
@@ -202,16 +203,10 @@ private:
   /// under a live session.
   static uint64_t captureFingerprint(const capture::Capture &Cap);
 
-  /// Per-boot template space holding the (immutable) runtime image; each
-  /// replay forks it so the 12 MiB of content is shared copy-on-write
-  /// instead of being regenerated per replay.
-  os::AddressSpace &bootTemplate(const capture::Capture &Cap);
-
   const dex::DexFile &File;
   const vm::NativeRegistry &Natives;
   vm::RuntimeConfig Config;
   Rng AslrRng;
-  std::map<uint64_t, os::AddressSpace> BootTemplates;
 
   bool SessionMode = false;
   std::map<const capture::Capture *, Session> Sessions;

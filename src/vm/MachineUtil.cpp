@@ -5,6 +5,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <vector>
 
@@ -274,41 +275,49 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
   if (Fn.NumRegs == 0)
     return 0;
 
+  // Each instruction's def, uses and successors, gathered once: the
+  // fixpoint below revisits every instruction on every sweep.
+  std::vector<MRegIdx> Def(N, MNoReg);
+  std::vector<MRegIdx> Uses;
+  std::vector<size_t> UsesBegin(N + 1, 0);
+  std::vector<bool> FallsThrough(N);
+  std::vector<int32_t> Jump(N, -1);
+  for (size_t Pc = 0; Pc != N; ++Pc) {
+    const MInsn &I = Fn.Code[Pc];
+    if (definesA(I) && I.A != MNoReg)
+      Def[Pc] = I.A;
+    forEachUse(I, [&Uses](MRegIdx R) { Uses.push_back(R); });
+    UsesBegin[Pc + 1] = Uses.size();
+    FallsThrough[Pc] = I.Op != MOpcode::MGoto && I.Op != MOpcode::MRet &&
+                       I.Op != MOpcode::MRetVoid;
+    if ((isMBranch(I.Op) || I.Op == MOpcode::MGuardClass) && I.Target >= 0)
+      Jump[Pc] = I.Target;
+  }
+
   // Instruction-level liveness over the linear code (each instruction is a
   // one-node CFG block; branches add their target as a successor). A
   // loop-carried value is genuinely live across the back edge and its
   // live positions span the loop; an iteration-local value is not.
   size_t Words = (static_cast<size_t>(Fn.NumRegs) + 63) / 64;
   std::vector<uint64_t> LiveIn((N + 1) * Words, 0);
-  auto Bit = [&](size_t Pc, MRegIdx R) -> uint64_t & {
-    return LiveIn[Pc * Words + R / 64];
-  };
-  auto IsLive = [&](size_t Pc, MRegIdx R) {
-    return (Bit(Pc, R) >> (R % 64)) & 1;
-  };
-
   std::vector<uint64_t> Tmp(Words);
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t Pc = N; Pc-- > 0;) {
-      const MInsn &I = Fn.Code[Pc];
       // out = union of successors' live-in.
       std::fill(Tmp.begin(), Tmp.end(), 0);
-      bool FallsThrough = I.Op != MOpcode::MGoto &&
-                          I.Op != MOpcode::MRet &&
-                          I.Op != MOpcode::MRetVoid;
-      if (FallsThrough)
+      if (FallsThrough[Pc])
         for (size_t W = 0; W != Words; ++W)
           Tmp[W] |= LiveIn[(Pc + 1) * Words + W];
-      if ((isMBranch(I.Op) || I.Op == MOpcode::MGuardClass) &&
-          I.Target >= 0)
+      if (Jump[Pc] >= 0)
         for (size_t W = 0; W != Words; ++W)
-          Tmp[W] |= LiveIn[static_cast<size_t>(I.Target) * Words + W];
+          Tmp[W] |= LiveIn[static_cast<size_t>(Jump[Pc]) * Words + W];
       // in = (out - def) | use.
-      if (definesA(I) && I.A != MNoReg)
-        Tmp[I.A / 64] &= ~(1ULL << (I.A % 64));
-      forEachUse(I, [&](MRegIdx R) { Tmp[R / 64] |= 1ULL << (R % 64); });
+      if (Def[Pc] != MNoReg)
+        Tmp[Def[Pc] / 64] &= ~(1ULL << (Def[Pc] % 64));
+      for (size_t U = UsesBegin[Pc]; U != UsesBegin[Pc + 1]; ++U)
+        Tmp[Uses[U] / 64] |= 1ULL << (Uses[U] % 64);
       for (size_t W = 0; W != Words; ++W) {
         if (LiveIn[Pc * Words + W] != Tmp[W]) {
           LiveIn[Pc * Words + W] = Tmp[W];
@@ -318,7 +327,8 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
     }
   }
 
-  // Live intervals [Start, End] from liveness plus def positions.
+  // Live intervals [Start, End] from liveness plus def positions; only
+  // the set bits of each live-in word are visited.
   constexpr int64_t NoPos = -1;
   std::vector<int64_t> Start(Fn.NumRegs, NoPos), End(Fn.NumRegs, NoPos);
   auto Touch = [&](MRegIdx R, int64_t Pos) {
@@ -330,13 +340,14 @@ uint16_t vm::allocateRegistersLinearScan(MachineFunction &Fn) {
   for (MRegIdx P = 0; P != Fn.ParamCount; ++P)
     Touch(P, 0);
   for (size_t Pc = 0; Pc != N; ++Pc) {
-    const MInsn &I = Fn.Code[Pc];
-    for (MRegIdx R = 0; R != Fn.NumRegs; ++R)
-      if (IsLive(Pc, R))
-        Touch(R, static_cast<int64_t>(Pc));
-    if (definesA(I) && I.A != MNoReg)
-      Touch(I.A, static_cast<int64_t>(Pc));
-    forEachUse(I, [&](MRegIdx R) { Touch(R, static_cast<int64_t>(Pc)); });
+    int64_t Pos = static_cast<int64_t>(Pc);
+    for (size_t W = 0; W != Words; ++W)
+      for (uint64_t Bits = LiveIn[Pc * Words + W]; Bits; Bits &= Bits - 1)
+        Touch(static_cast<MRegIdx>(W * 64 + std::countr_zero(Bits)), Pos);
+    if (Def[Pc] != MNoReg)
+      Touch(Def[Pc], Pos);
+    for (size_t U = UsesBegin[Pc]; U != UsesBegin[Pc + 1]; ++U)
+      Touch(Uses[U], Pos);
   }
 
   // Linear scan, lowest-free-register policy. Parameters are pre-colored

@@ -7,6 +7,9 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
 
 using namespace ropt;
 using namespace ropt::vm;
@@ -40,7 +43,7 @@ void Runtime::mapStandardLayout(os::AddressSpace &Space,
                   MappingKind::Data, "statics");
   Space.mapRegion(Layout::HeapBase, Config.HeapLimitBytes,
                   ProtRead | ProtWrite, MappingKind::Heap, "dalvik-heap");
-  Space.mapRegion(Layout::RuntimeImageBase, Layout::RuntimeImageSize,
+  Space.mapShared(Layout::RuntimeImageBase, imagePages(Config.BootId),
                   ProtRead, MappingKind::RuntimeImage, "boot.art");
   Space.mapRegion(Layout::StackBase, Layout::StackSize,
                   ProtRead | ProtWrite, MappingKind::Stack, "stack");
@@ -57,19 +60,27 @@ void Runtime::mapStandardLayout(os::AddressSpace &Space,
   // Heap control block.
   Heap H(Space, Config.HeapLimitBytes, Config.GcThresholdBytes);
   H.initialize();
+}
 
-  // Runtime image: immutable objects identical for every process created
-  // during this boot. Content is a deterministic function of the boot id.
-  Rng ImageRng(0xb007ULL * 2654435761ULL + Config.BootId);
-  for (uint64_t Offset = 0; Offset < Layout::RuntimeImageSize;
-       Offset += 64) {
-    uint64_t Words[8];
-    for (uint64_t &W : Words)
-      W = ImageRng.next();
-    [[maybe_unused]] bool Ok = Space.poke(Layout::RuntimeImageBase + Offset,
-                                          Words, sizeof(Words));
-    assert(Ok && "runtime image mapping too small");
+std::span<const os::PhysPageRef> Runtime::imagePages(uint64_t BootId) {
+  // Function-local, so no image is built before the first process boots.
+  static std::mutex Lock;
+  static std::map<uint64_t, std::vector<os::PhysPageRef>> Images;
+  std::lock_guard<std::mutex> Guard(Lock);
+  std::vector<os::PhysPageRef> &Pages = Images[BootId];
+  if (Pages.empty()) {
+    // One word stream across the whole image, page after page.
+    Rng ImageRng(0xb007ULL * 2654435761ULL + BootId);
+    Pages.resize(Layout::RuntimeImageSize / os::PageSize);
+    for (os::PhysPageRef &Page : Pages) {
+      Page = std::make_shared<os::PhysicalPage>();
+      for (uint64_t Offset = 0; Offset < os::PageSize; Offset += 8) {
+        uint64_t Word = ImageRng.next();
+        std::memcpy(Page->Data.data() + Offset, &Word, sizeof(Word));
+      }
+    }
   }
+  return Pages;
 }
 
 void Runtime::noteBranchSlow(uint64_t Site, bool Taken) {

@@ -27,6 +27,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace ropt {
@@ -108,12 +109,21 @@ public:
           const NativeRegistry &Natives, RuntimeConfig Config);
 
   /// Maps the standard process layout into \p Space and initializes the
-  /// data segment (static fields), heap control block, and the
-  /// boot-deterministic runtime image. Call once for a fresh app process;
-  /// replay loaders restore captured pages instead.
+  /// data segment (static fields) and heap control block; the runtime
+  /// image maps imagePages(Config.BootId). Call once for a fresh app
+  /// process; replay loaders restore captured pages instead.
   static void mapStandardLayout(os::AddressSpace &Space,
                                 const dex::DexFile &Dex,
                                 const RuntimeConfig &Config);
+
+  /// The runtime image (boot.art) of boot \p BootId: Layout::
+  /// RuntimeImageSize bytes of immutable objects, a deterministic function
+  /// of the boot id, identical for every process of that boot. Built on
+  /// the first call per BootId and kept for the life of the host process,
+  /// so every app process and replay space maps the same physical pages;
+  /// the registry's own reference makes each mapping copy-on-write.
+  /// Thread-safe.
+  static std::span<const os::PhysPageRef> imagePages(uint64_t BootId);
 
   /// Invokes \p Method with \p Args. Resets the per-call budget; cycle and
   /// instruction counts accumulate into the lifetime totals too.

@@ -250,6 +250,44 @@ TEST(Fork, PriorityAndSleep) {
   EXPECT_EQ(K.forkCount(), 1u);
 }
 
+// --- Shared mappings -----------------------------------------------------------
+
+TEST(SharedMapping, WriteCopiesThePageForTheWriterOnly) {
+  // The owner keeps its own references, as the runtime-image registry does.
+  std::vector<PhysPageRef> Backing;
+  for (uint8_t Fill : {0xA1, 0xB2}) {
+    Backing.push_back(std::make_shared<PhysicalPage>());
+    Backing.back()->Data.fill(Fill);
+  }
+  AddressSpace Writer, Reader;
+  Writer.mapShared(Base, Backing, ProtRead | ProtWrite, MappingKind::Heap,
+                   "shared");
+  Reader.mapShared(Base, Backing, ProtRead, MappingKind::Heap, "shared");
+  ASSERT_EQ(Writer.procMaps().size(), 1u);
+  EXPECT_EQ(Writer.procMaps()[0].pageCount(), 2u);
+  EXPECT_EQ(Writer.physicalPage(Base), Backing[0]);
+  EXPECT_EQ(Reader.physicalPage(Base + PageSize), Backing[1]);
+
+  uint64_t Before = 0;
+  ASSERT_EQ(Writer.loadU64(Base, Before), AccessResult::Ok);
+  EXPECT_EQ(Before, 0xA1A1A1A1A1A1A1A1ULL);
+  EXPECT_EQ(Writer.stats().CowCopies, 0u); // reads never copy
+
+  ASSERT_EQ(Writer.storeU64(Base, 42), AccessResult::Ok);
+  ASSERT_EQ(Writer.storeU64(Base + 8, 43), AccessResult::Ok);
+  EXPECT_EQ(Writer.stats().CowCopies, 1u);
+  EXPECT_NE(Writer.physicalPage(Base), Backing[0]);
+  EXPECT_EQ(Writer.physicalPage(Base + PageSize), Backing[1]);
+
+  uint64_t WriterSees = 0, ReaderSees = 0;
+  ASSERT_EQ(Writer.loadU64(Base, WriterSees), AccessResult::Ok);
+  ASSERT_EQ(Reader.loadU64(Base, ReaderSees), AccessResult::Ok);
+  EXPECT_EQ(WriterSees, 42u);
+  EXPECT_EQ(ReaderSees, 0xA1A1A1A1A1A1A1A1ULL);
+  EXPECT_EQ(Reader.physicalPage(Base), Backing[0]);
+  EXPECT_EQ(Backing[0]->Data[0], 0xA1);
+}
+
 // --- Storage -----------------------------------------------------------------
 
 TEST(Storage, WriteReadRemove) {

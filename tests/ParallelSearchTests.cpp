@@ -3,7 +3,8 @@
 // The parallel evaluation engine's contracts: ThreadPool scheduling and
 // exception propagation, jobs-invariant determinism (bit-identical
 // results at any worker count), two-level memoization accounting, and
-// the Result error plumbing into EvalKind. These tests carry the
+// the Result error plumbing into EvalKind, plus the runtime-image
+// registry's concurrent first use. These tests carry the
 // "parallel" ctest label and are the ThreadSanitizer targets (a
 // -fsanitize=thread build, see the CI tsan job).
 //
@@ -15,11 +16,14 @@
 #include "support/Result.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
+#include "vm/Runtime.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -101,6 +105,38 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   ASSERT_EQ(Seen.size(), 5u);
   for (std::thread::id Id : Seen)
     EXPECT_EQ(Id, Caller);
+}
+
+// --- The shared runtime image --------------------------------------------------
+
+TEST(RuntimeImage, ConcurrentFirstUseBuildsOnePageSet) {
+  // Every worker asks for a boot id nothing else uses, at the same moment:
+  // the registry must build its image once and hand all of them the same
+  // pages, with the content published to every reader.
+  constexpr uint64_t FreshBootId = 0x5eed'b007;
+  ThreadPool Pool(4);
+  std::latch AllReady(Pool.size());
+  std::vector<std::span<const os::PhysPageRef>> Seen(Pool.size());
+  std::vector<uint64_t> FirstWord(Pool.size());
+  std::vector<std::future<void>> Done;
+  for (size_t W = 0; W != Pool.size(); ++W)
+    Done.push_back(Pool.submit([&, W] {
+      AllReady.arrive_and_wait();
+      Seen[W] = vm::Runtime::imagePages(FreshBootId);
+      std::memcpy(&FirstWord[W], Seen[W].front()->Data.data(), 8);
+    }));
+  for (std::future<void> &F : Done)
+    F.get();
+
+  std::span<const os::PhysPageRef> Image =
+      vm::Runtime::imagePages(FreshBootId);
+  EXPECT_EQ(Image.size() * os::PageSize, vm::Layout::RuntimeImageSize);
+  for (size_t W = 0; W != Pool.size(); ++W) {
+    EXPECT_EQ(Seen[W].data(), Image.data()) << "worker " << W;
+    EXPECT_EQ(Seen[W].size(), Image.size());
+    EXPECT_EQ(FirstWord[W], FirstWord[0]);
+  }
+  EXPECT_NE(Image.front(), vm::Runtime::imagePages(FreshBootId + 1).front());
 }
 
 // --- A deterministic synthetic backend for engine tests ----------------------

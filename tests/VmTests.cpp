@@ -2,9 +2,12 @@
 
 #include "dex/Builder.h"
 #include "hgraph/AndroidCompiler.h"
+#include "hgraph/Build.h"
+#include "hgraph/Codegen.h"
 #include "support/Random.h"
 #include "vm/Heap.h"
 #include "vm/IntOps.h"
+#include "vm/MachineUtil.h"
 #include "vm/Runtime.h"
 
 #include <gtest/gtest.h>
@@ -676,11 +679,14 @@ TEST(Layout, RuntimeImageDependsOnlyOnBootId) {
   defineSumTo(B);
   DexFile File = B.build();
 
-  auto ImageBytes = [&File](uint64_t BootId) {
-    os::AddressSpace Space;
+  auto Boot = [&File](uint64_t BootId, os::AddressSpace &Space) {
     RuntimeConfig Config;
     Config.BootId = BootId;
     Runtime::mapStandardLayout(Space, File, Config);
+  };
+  auto ImageBytes = [&Boot](uint64_t BootId) {
+    os::AddressSpace Space;
+    Boot(BootId, Space);
     std::vector<uint8_t> Bytes(256);
     Space.peek(Layout::RuntimeImageBase, Bytes.data(), Bytes.size());
     return Bytes;
@@ -688,6 +694,176 @@ TEST(Layout, RuntimeImageDependsOnlyOnBootId) {
 
   EXPECT_EQ(ImageBytes(1), ImageBytes(1));
   EXPECT_NE(ImageBytes(1), ImageBytes(2));
+
+  // One image per boot, shared by every space: the same physical pages
+  // for the same BootId, different ones for another boot.
+  os::AddressSpace First, Second, OtherBoot;
+  Boot(1, First);
+  Boot(1, Second);
+  Boot(2, OtherBoot);
+  for (uint64_t Offset : {uint64_t(0), Layout::RuntimeImageSize - 8}) {
+    uint64_t Addr = Layout::RuntimeImageBase + Offset;
+    ASSERT_NE(First.physicalPage(Addr), nullptr);
+    EXPECT_EQ(First.physicalPage(Addr), Second.physicalPage(Addr));
+    EXPECT_NE(First.physicalPage(Addr), OtherBoot.physicalPage(Addr));
+  }
+  EXPECT_EQ(Runtime::imagePages(1).size() * os::PageSize,
+            Layout::RuntimeImageSize);
+
+  // The content is the boot id's word stream, in address order.
+  for (uint64_t BootId : {1, 2}) {
+    os::AddressSpace Space;
+    Boot(BootId, Space);
+    Rng Stream(0xb007ULL * 2654435761ULL + BootId);
+    uint64_t Word = 0;
+    for (uint64_t Offset = 0; Offset != 64; Offset += 8) {
+      ASSERT_TRUE(Space.peek(Layout::RuntimeImageBase + Offset, &Word, 8));
+      EXPECT_EQ(Word, Stream.next()) << "boot " << BootId << " +" << Offset;
+    }
+    for (uint64_t Offset = 72; Offset != Layout::RuntimeImageSize;
+         Offset += 8)
+      Stream.next();
+    ASSERT_TRUE(Space.peek(Layout::RuntimeImageBase +
+                               Layout::RuntimeImageSize - 8,
+                           &Word, 8));
+    EXPECT_EQ(Word, Stream.next()) << "boot " << BootId << " last word";
+  }
+}
+
+// --- Linear-scan register allocation ----------------------------------------
+
+TEST(LinearScan, MultiWordLivenessKeepsOverlappingIntervalsApart) {
+  // wide(n): 80 loop-invariant constants and 80 loop-local products are
+  // all live at once, so liveness spans several 64-bit words; 80 more
+  // short-lived products after them can reuse registers.
+  constexpr int Width = 80;
+  DexBuilder B;
+  {
+    FunctionBuilder F =
+        B.beginBody(B.declareFunction(InvalidId, "wide", 1, true));
+    RegIdx Acc = F.newReg(), I = F.newReg(), One = F.immI(1);
+    std::vector<RegIdx> K, P;
+    for (int J = 0; J != Width; ++J)
+      K.push_back(F.immI(J + 1));
+    for (int J = 0; J != Width; ++J)
+      P.push_back(F.newReg());
+    F.constI(Acc, 0);
+    F.constI(I, 0);
+    auto Head = F.newLabel(), Exit = F.newLabel();
+    F.bind(Head);
+    F.ifGe(I, F.param(0), Exit);
+    for (int J = 0; J != Width; ++J)
+      F.mulI(P[J], I, K[J]);
+    for (int J = Width; J-- > 0;)
+      F.addI(Acc, Acc, P[J]);
+    for (int J = 0; J != Width; ++J) {
+      RegIdx T = F.newReg();
+      F.mulI(T, I, K[J]);
+      F.addI(Acc, Acc, T);
+    }
+    F.addI(I, I, One);
+    F.jump(Head);
+    F.bind(Exit);
+    F.ret(Acc);
+    B.endBody(F);
+  }
+  DexFile File = B.build();
+  hgraph::HGraph G = hgraph::buildHGraph(File, File.findMethod("wide"));
+  std::shared_ptr<MachineFunction> None =
+      hgraph::emitMachine(G, hgraph::RegAllocKind::None);
+  std::shared_ptr<MachineFunction> Scan =
+      hgraph::emitMachine(G, hgraph::RegAllocKind::LinearScan);
+  ASSERT_GT(None->NumRegs, 2 * 64);
+  EXPECT_LT(Scan->NumRegs, None->NumRegs);
+
+  // Same behaviour as the unallocated code (and the interpreter).
+  const int64_t N = 7,
+                Want = Width * (Width + 1) * (N * (N - 1) / 2); // 2 passes
+  for (const std::shared_ptr<MachineFunction> &Fn : {None, Scan}) {
+    VmEnv Env(File);
+    Env.RT->codeCache().install(Fn);
+    CallResult R = Env.run("wide", {Value::fromI64(N)});
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.Ret.asI64(), Want);
+  }
+  {
+    VmEnv Env(File);
+    EXPECT_EQ(Env.run("wide", {Value::fromI64(N)}).Ret.asI64(), Want);
+  }
+
+  // Allocation only renames registers: recover the old -> new map.
+  ASSERT_EQ(None->Code.size(), Scan->Code.size());
+  size_t Len = None->Code.size();
+  auto Operands = [](const MInsn &I) {
+    std::vector<MRegIdx> Regs;
+    if (definesA(I))
+      Regs.push_back(I.A);
+    forEachUse(I, [&Regs](MRegIdx R) { Regs.push_back(R); });
+    return Regs;
+  };
+  std::vector<MRegIdx> Assign(None->NumRegs, MNoReg);
+  for (MRegIdx P = 0; P != None->ParamCount; ++P)
+    Assign[P] = P;
+  for (size_t Pc = 0; Pc != Len; ++Pc) {
+    ASSERT_EQ(None->Code[Pc].Op, Scan->Code[Pc].Op);
+    std::vector<MRegIdx> Old = Operands(None->Code[Pc]),
+                         New = Operands(Scan->Code[Pc]);
+    ASSERT_EQ(Old.size(), New.size());
+    for (size_t K = 0; K != Old.size(); ++K) {
+      if (Assign[Old[K]] == MNoReg)
+        Assign[Old[K]] = New[K];
+      ASSERT_EQ(Assign[Old[K]], New[K]) << "r" << Old[K] << " at " << Pc;
+    }
+  }
+
+  // Reference liveness on the unallocated code, one bool per register,
+  // then the allocator's intervals: params from 0, plus every position a
+  // register is live-in, defined or used.
+  std::vector<std::vector<bool>> LiveIn(
+      Len + 1, std::vector<bool>(None->NumRegs, false));
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t Pc = Len; Pc-- > 0;) {
+      const MInsn &I = None->Code[Pc];
+      std::vector<bool> In(None->NumRegs, false);
+      if (I.Op != MOpcode::MGoto && I.Op != MOpcode::MRet &&
+          I.Op != MOpcode::MRetVoid)
+        In = LiveIn[Pc + 1];
+      if ((isMBranch(I.Op) || I.Op == MOpcode::MGuardClass) && I.Target >= 0)
+        for (MRegIdx R = 0; R != None->NumRegs; ++R)
+          if (LiveIn[static_cast<size_t>(I.Target)][R])
+            In[R] = true;
+      if (definesA(I))
+        In[I.A] = false;
+      forEachUse(I, [&In](MRegIdx R) { In[R] = true; });
+      if (In != LiveIn[Pc]) {
+        LiveIn[Pc] = In;
+        Changed = true;
+      }
+    }
+  }
+  std::vector<int64_t> Start(None->NumRegs, -1), End(None->NumRegs, -1);
+  auto Touch = [&](MRegIdx R, int64_t Pos) {
+    if (Start[R] < 0 || Pos < Start[R])
+      Start[R] = Pos;
+    End[R] = std::max(End[R], Pos);
+  };
+  for (MRegIdx P = 0; P != None->ParamCount; ++P)
+    Touch(P, 0);
+  for (size_t Pc = 0; Pc != Len; ++Pc) {
+    for (MRegIdx R = 0; R != None->NumRegs; ++R)
+      if (LiveIn[Pc][R])
+        Touch(R, static_cast<int64_t>(Pc));
+    for (MRegIdx R : Operands(None->Code[Pc]))
+      Touch(R, static_cast<int64_t>(Pc));
+  }
+  for (MRegIdx X = 0; X != None->NumRegs; ++X)
+    for (MRegIdx Y = X + 1; Y < None->NumRegs; ++Y)
+      if (Start[X] >= 0 && Start[Y] >= 0 && Start[X] <= End[Y] &&
+          Start[Y] <= End[X])
+        EXPECT_NE(Assign[X], Assign[Y])
+            << "r" << X << " [" << Start[X] << "," << End[X] << "] and r"
+            << Y << " [" << Start[Y] << "," << End[Y] << "]";
 }
 
 // --- Integer semantics: folder == interpreter == executor --------------------
