@@ -44,7 +44,8 @@ RegionEvaluator::RegionEvaluator(const workloads::Application &App,
                                  const replay::VerificationMap &Map,
                                  const lir::TypeProfile &Profile,
                                  const PipelineConfig &Config)
-    : App(App), Region(Region), Profile(Profile), Config(Config),
+    : App(App), Region(Region), Profile(Profile),
+      Compiler(*App.File, Region.Methods), Config(Config),
       Natives(vm::NativeRegistry::standardLibrary()),
       Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
       NoiseRng(Config.Seed ^ 0x90153) {
@@ -56,8 +57,8 @@ RegionEvaluator::RegionEvaluator(
     const workloads::Application &App, const profiler::HotRegion &Region,
     const std::vector<CapturedRegion> &Captures,
     const PipelineConfig &Config)
-    : App(App), Region(Region), Config(Config),
-      Natives(vm::NativeRegistry::standardLibrary()),
+    : App(App), Region(Region), Compiler(*App.File, Region.Methods),
+      Config(Config), Natives(vm::NativeRegistry::standardLibrary()),
       Rep(*App.File, Natives, App.RtConfig, Config.Seed ^ 0xa51f),
       NoiseRng(Config.Seed ^ 0x90153) {
   assert(!Captures.empty() && "need at least one capture");
@@ -162,8 +163,7 @@ RegionEvaluator::compileRegion(const search::Genome &G) {
   Options.RegAlloc = G.RegAlloc;
   Options.SizeBudget = Config.Search.CompileSizeBudget;
   vm::CodeCache Code;
-  lir::CompileStatus Status = lir::compileAllLlvm(
-      *App.File, Region.Methods, Options, Code, &Profile);
+  lir::CompileStatus Status = Compiler.compile(Options, Code, &Profile);
   if (Status != lir::CompileStatus::Ok)
     return std::nullopt;
   return Code;

@@ -215,6 +215,8 @@ private:
   const profiler::HotRegion &Region;
   std::vector<CaptureRef> Caps;
   lir::TypeProfile Profile; ///< Merged across captures.
+  /// Resumes each compile from the pass prefix it shares with the last.
+  lir::RegionCompiler Compiler;
   const PipelineConfig &Config;
   vm::NativeRegistry Natives;
   replay::Replayer Rep;

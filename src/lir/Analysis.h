@@ -16,7 +16,6 @@
 
 #include "lir/Lir.h"
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -86,10 +85,38 @@ std::vector<uint32_t> computeDefBlocks(const LFunction &Fn);
 /// Counts uses of every value across instructions, phis, and terminators.
 std::vector<uint32_t> countUses(const LFunction &Fn);
 
-/// Invokes \p Fn over every value operand (mutable) of an instruction.
-void forEachOperand(LInsn &I, const std::function<void(ValueId &)> &Fn);
-void forEachOperand(const LInsn &I,
-                    const std::function<void(ValueId)> &Fn);
+namespace detail {
+template <typename InsnT, typename FnT>
+void forEachOperandImpl(InsnT &I, FnT &Fn) {
+  switch (I.Op) {
+  case vm::MOpcode::MMovImmI:
+  case vm::MOpcode::MMovImmF:
+  case vm::MOpcode::MLoadStatic:
+  case vm::MOpcode::MNewInstance:
+  case vm::MOpcode::MSafepoint:
+  case vm::MOpcode::MNop:
+    break;
+  default:
+    if (I.A != NoValue)
+      Fn(I.A);
+    if (I.B != NoValue)
+      Fn(I.B);
+    break;
+  }
+  for (auto &V : I.Args)
+    Fn(V);
+}
+} // namespace detail
+
+/// Invokes \p Fn over every value operand of an instruction: A and B
+/// when set, then every call argument. The mutable overload hands out
+/// references so passes can rewrite operands in place.
+template <typename FnT> void forEachOperand(LInsn &I, FnT &&Fn) {
+  detail::forEachOperandImpl(I, Fn);
+}
+template <typename FnT> void forEachOperand(const LInsn &I, FnT &&Fn) {
+  detail::forEachOperandImpl(I, Fn);
+}
 
 } // namespace lir
 } // namespace ropt

@@ -21,6 +21,7 @@
 #include "lir/Passes.h"
 
 #include <memory>
+#include <optional>
 
 namespace ropt {
 namespace lir {
@@ -52,15 +53,75 @@ struct CompileResult {
   bool ok() const { return Status == CompileStatus::Ok; }
 };
 
-/// Compiles \p Method through the backend.
+/// Compiles one method again and again, each time resuming from the
+/// longest pass prefix the new pipeline shares with the last one.
+///
+/// The compiler keeps the translated function (prefix length 0) and the
+/// IR after each pass of the last pipeline it ran, keyed by that exact
+/// (PassId, IntParam, Aggressive) sequence. A pipeline that exploded the
+/// size budget is remembered up to the exploding pass, so a later pipeline
+/// through the same prefix fails the same way without running it. Only
+/// the suffix after the shared prefix runs, followed by verification and
+/// code generation as usual: every result is byte-identical to a compile
+/// from the bytecode. Memory is bounded by one pipeline's snapshots.
+///
+/// The translation options, size budget and profile are part of the key:
+/// a compile with different ones starts over. The profile is keyed by
+/// address, so its contents must not change between compiles.
+class MethodCompiler {
+public:
+  MethodCompiler(const dex::DexFile &File, dex::MethodId Method);
+
+  CompileResult compile(const CompileOptions &Options,
+                        const TypeProfile *Profile = nullptr);
+
+  /// Pass applications run, and skipped by resuming from a snapshot.
+  uint64_t passesApplied() const { return Applied; }
+  uint64_t passesResumed() const { return Resumed; }
+
+private:
+  /// Drops everything but the translated function.
+  void forgetPipeline();
+
+  const dex::DexFile *File;
+  dex::MethodId Method;
+  std::optional<LFunction> Translated;
+  TranslateOptions TranslatedWith;
+  size_t SizeBudget = 0;
+  const TypeProfile *Profile = nullptr;
+  /// The last pipeline, up to and including its exploding pass when
+  /// Exploded; Snapshots[I] is the IR after Path[0..I].
+  std::vector<PassInstance> Path;
+  std::vector<LFunction> Snapshots;
+  bool Exploded = false;
+  uint64_t Applied = 0;
+  uint64_t Resumed = 0;
+};
+
+/// One MethodCompiler per method of a region.
+class RegionCompiler {
+public:
+  RegionCompiler(const dex::DexFile &File,
+                 const std::vector<dex::MethodId> &Methods);
+
+  /// Compiles every method into \p Cache; methods that fail keep their
+  /// previous tier (interpreter or whatever was installed). Returns the
+  /// first non-Ok status encountered (Ok if all succeeded).
+  CompileStatus compile(const CompileOptions &Options, vm::CodeCache &Cache,
+                        const TypeProfile *Profile = nullptr);
+
+private:
+  std::vector<MethodCompiler> Compilers;
+};
+
+/// Compiles \p Method through the backend (a fresh MethodCompiler).
 CompileResult compileMethodLlvm(const dex::DexFile &File,
                                 dex::MethodId Method,
                                 const CompileOptions &Options,
                                 const TypeProfile *Profile = nullptr);
 
-/// Compiles every method of \p Methods into \p Cache; methods that fail
-/// keep their previous tier (interpreter or whatever was installed).
-/// Returns the first non-Ok status encountered (Ok if all succeeded).
+/// Compiles every method of \p Methods into \p Cache (a fresh
+/// RegionCompiler; see RegionCompiler::compile).
 CompileStatus compileAllLlvm(const dex::DexFile &File,
                              const std::vector<dex::MethodId> &Methods,
                              const CompileOptions &Options,

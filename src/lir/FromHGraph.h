@@ -32,6 +32,8 @@ namespace lir {
 struct TranslateOptions {
   /// Duplicate safepoints and copy call arguments at runtime boundaries.
   bool ConservativeBoundaries = true;
+
+  bool operator==(const TranslateOptions &) const = default;
 };
 
 /// Translates \p G into SSA form.

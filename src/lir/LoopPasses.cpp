@@ -328,6 +328,18 @@ bool matchSelfLoop(const LFunction &Fn, uint32_t Id, SelfLoop &Out) {
   Out.OutsidePredSlot = 1 - SelfSlot;
   if (Out.Exit == Id)
     return false;
+  // Replication reads each phi input of B and the exit phis' input for
+  // B's edge. A phi that an unsound pass left short of inputs has no
+  // such input: leave the loop alone for the verifier to reject.
+  for (const LPhi &P : B.Phis)
+    if (P.In.size() < 2)
+      return false;
+  const LBlock &EB = Fn.Blocks[Out.Exit];
+  for (size_t N = 0; N != EB.Preds.size(); ++N)
+    if (EB.Preds[N] == Id)
+      for (const LPhi &P : EB.Phis)
+        if (P.In.size() <= N)
+          return false;
   return true;
 }
 

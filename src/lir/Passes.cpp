@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -106,6 +107,16 @@ void lir::replaceAllUses(LFunction &Fn, ValueId Old, ValueId New) {
 
 namespace {
 
+/// Drops input \p N from every phi of \p B. A phi that an unsound pass
+/// left with fewer inputs than preds may have no input \p N: it keeps the
+/// inputs it has rather than erasing past its end, and stays malformed IR
+/// for the verifier to reject.
+void erasePhiInputs(LBlock &B, size_t N) {
+  for (LPhi &P : B.Phis)
+    if (N < P.In.size())
+      P.In.erase(P.In.begin() + N);
+}
+
 /// Clears every block the entry cannot reach and removes their pred slots
 /// (with phi inputs) from reachable blocks.
 bool pruneUnreachable(LFunction &Fn) {
@@ -128,8 +139,7 @@ bool pruneUnreachable(LFunction &Fn) {
       if (Reachable[B.Preds[N]])
         continue;
       B.Preds.erase(B.Preds.begin() + N);
-      for (LPhi &P : B.Phis)
-        P.In.erase(P.In.begin() + N);
+      erasePhiInputs(B, N);
       Changed = true;
     }
   }
@@ -144,8 +154,7 @@ void removePredSlot(LFunction &Fn, uint32_t Block, uint32_t Pred) {
     if (B.Preds[N] != Pred)
       continue;
     B.Preds.erase(B.Preds.begin() + N);
-    for (LPhi &P : B.Phis)
-      P.In.erase(P.In.begin() + N);
+    erasePhiInputs(B, N);
     return;
   }
   assert(false && "pred slot not found");
@@ -596,11 +605,21 @@ bool lir::gvn(LFunction &Fn) {
   bool Changed = false;
   DomTree DT = DomTree::compute(Fn);
   std::map<Key, ValueId> Available;
+  // Redundant value -> the available value that replaces it. Defs are
+  // visited before their uses, so rewriting each instruction's operands
+  // when the walk reaches it sees every replacement made so far; a value
+  // in Available is never forwarded, so one lookup resolves a use.
+  std::vector<ValueId> Forward(Fn.NumValues, NoValue);
+  auto Resolve = [&Forward](ValueId &V) {
+    if (V < Forward.size() && Forward[V] != NoValue)
+      V = Forward[V];
+  };
 
   // Recursive dominator-tree walk with scope rollback.
-  std::function<void(uint32_t)> Walk = [&](uint32_t Block) {
+  auto Walk = [&](auto &Self, uint32_t Block) -> void {
     std::vector<Key> Inserted;
     for (LInsn &I : Fn.Blocks[Block].Insns) {
+      forEachOperand(I, Resolve);
       if (!vm::isPureOp(I.Op) || I.Dst == NoValue)
         continue;
       uint64_t FBits;
@@ -608,7 +627,9 @@ bool lir::gvn(LFunction &Fn) {
       Key K{I.Op, I.A, I.B, I.ImmI, FBits, I.Idx};
       auto It = Available.find(K);
       if (It != Available.end()) {
-        replaceAllUses(Fn, I.Dst, It->second);
+        if (I.Dst >= Forward.size()) // malformed IR from an unsound pass
+          Forward.resize(I.Dst + 1, NoValue);
+        Forward[I.Dst] = It->second;
         toNop(I);
         Changed = true;
         continue;
@@ -617,12 +638,26 @@ bool lir::gvn(LFunction &Fn) {
       Inserted.push_back(K);
     }
     for (uint32_t Child : DT.children(Block))
-      Walk(Child);
+      Self(Self, Child);
     for (const Key &K : Inserted)
       Available.erase(K);
   };
-  Walk(0);
-  return Changed;
+  Walk(Walk, 0);
+  if (!Changed)
+    return false;
+
+  // Uses the walk did not reach: phi inputs, terminators, and the
+  // instructions of unreachable blocks.
+  for (LBlock &B : Fn.Blocks) {
+    for (LPhi &P : B.Phis)
+      for (ValueId &V : P.In)
+        Resolve(V);
+    for (LInsn &I : B.Insns)
+      forEachOperand(I, Resolve);
+    Resolve(B.Term.A);
+    Resolve(B.Term.B);
+  }
+  return true;
 }
 
 // --- DCE --------------------------------------------------------------------------
@@ -1174,15 +1209,4 @@ bool lir::applyPass(LFunction &Fn, const PassInstance &Pass,
     break;
   }
   return false;
-}
-
-bool lir::runPipeline(LFunction &Fn,
-                      const std::vector<PassInstance> &Pipeline,
-                      const PassContext &Ctx, size_t SizeBudget) {
-  for (const PassInstance &Pass : Pipeline) {
-    applyPass(Fn, Pass, Ctx);
-    if (Fn.instructionCount() > SizeBudget)
-      return false;
-  }
-  return true;
 }

@@ -107,11 +107,6 @@ struct PassContext {
 bool applyPass(LFunction &Fn, const PassInstance &Pass,
                const PassContext &Ctx);
 
-/// Runs a pipeline in order; stops early (returning false) if the function
-/// exceeds \p SizeBudget instructions (the "compiler timeout" outcome).
-bool runPipeline(LFunction &Fn, const std::vector<PassInstance> &Pipeline,
-                 const PassContext &Ctx, size_t SizeBudget = 50000);
-
 // Individual passes (exposed for unit tests).
 bool simplifyCfg(LFunction &Fn);
 bool constProp(LFunction &Fn);

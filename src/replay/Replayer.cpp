@@ -348,17 +348,21 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
                          const vm::CodeCache &Code,
                          const VerificationMap &Map) {
   ROPT_TRACE_SPAN("replay.verified");
-  std::map<uint64_t, uint64_t> Observed;
+  bool CellsMatch = false;
   ReplayResult Out = replayImpl(
       Cap, ReplayCode::Compiled, &Code, nullptr,
-      [&Map, &Observed](AddressSpace &Space, const vm::CallResult &R) {
+      [&Map, &CellsMatch](AddressSpace &Space, const vm::CallResult &R) {
         if (R.Trap != vm::TrapKind::None)
           return;
-        for (const auto &KV : Map.Cells) {
+        // Read each expected cell back in place; the first unreadable or
+        // different cell decides.
+        ROPT_TRACE_SPAN("replay.verify_readback");
+        for (const auto &[Addr, Expected] : Map.Cells) {
           uint64_t Bits = 0;
-          if (Space.peek(KV.first, &Bits, sizeof(Bits)))
-            Observed[KV.first] = Bits;
+          if (!Space.peek(Addr, &Bits, sizeof(Bits)) || Bits != Expected)
+            return;
         }
+        CellsMatch = true;
       });
 
   if (Out.Result.Trap == vm::TrapKind::Timeout)
@@ -368,7 +372,7 @@ Replayer::verifiedReplay(const capture::Capture &Cap,
     return support::Error{support::ErrorCode::ReplayCrash,
                           "verified replay trapped"};
   bool Matches = !(Map.HasReturn && Map.ReturnBits != Out.Result.Ret.Raw) &&
-                 Observed == Map.Cells;
+                 CellsMatch;
   if (!Matches) {
     ROPT_METRIC_INC("replay.verify_mismatches");
     return support::Error{support::ErrorCode::OutputMismatch,

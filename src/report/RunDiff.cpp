@@ -608,7 +608,22 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
       << M.string("git", "?") << "\n";
   Out << "seed: " << static_cast<uint64_t>(M.number("seed")) << "   jobs: "
       << static_cast<int>(M.number("jobs"))
-      << "   evaluations: " << Run.Evaluations.size() << "\n\n";
+      << "   evaluations: " << Run.Evaluations.size() << "\n";
+  // Prefix-resumed compilation (metrics.json counters): the share of pass
+  // applications the compile backends skipped by resuming from the IR
+  // they kept after an earlier pipeline's shared prefix.
+  if (const json::Value *Counters =
+          Run.HasMetrics ? Run.Metrics.find("counters") : nullptr) {
+    double Applied = Counters->number("compile.passes_applied");
+    double Resumed = Counters->number("compile.passes_resumed");
+    if (Applied + Resumed > 0.0)
+      Out << "compile resume: " << format("%.0f", Resumed) << " of "
+          << format("%.0f", Applied + Resumed)
+          << " pass applications resumed from a kept prefix ("
+          << format("%.1f", 100.0 * Resumed / (Applied + Resumed))
+          << "%)\n";
+  }
+  Out << "\n";
 
   std::map<std::string, AppRoll> Apps = rollUp(Run);
   for (const std::string &Name : appOrder(Run)) {

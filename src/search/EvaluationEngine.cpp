@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <tuple>
 
 using namespace ropt;
 using namespace ropt::search;
@@ -114,10 +116,28 @@ EvaluationEngine::evaluateBatch(const std::vector<Genome> &Genomes) {
     CompileWork.push_back(I);
   }
 
-  // --- Compile stage (parallel). ------------------------------------------
+  // --- Compile stage (parallel), dispatched in lexicographic pass-sequence
+  // order so that neighbouring compiles share pass prefixes a backend can
+  // resume from. Results land in Compiled[W] by index, so the order is
+  // invisible to everything below. -----------------------------------------
   ensureBackends(std::min(Pool->size(), CompileWork.size()));
+  std::vector<size_t> Order(CompileWork.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  auto PassKey = [](const lir::PassInstance &P) {
+    return std::make_tuple(P.Id, P.IntParam, P.Aggressive);
+  };
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t X, size_t Y) {
+    const std::vector<lir::PassInstance> &A = Genomes[CompileWork[X]].Passes;
+    const std::vector<lir::PassInstance> &B = Genomes[CompileWork[Y]].Passes;
+    return std::lexicographical_compare(
+        A.begin(), A.end(), B.begin(), B.end(),
+        [&](const lir::PassInstance &P, const lir::PassInstance &Q) {
+          return PassKey(P) < PassKey(Q);
+        });
+  });
   std::vector<CompiledBinary> Compiled(CompileWork.size());
-  Pool->parallelFor(CompileWork.size(), [&](size_t W, size_t Slot) {
+  Pool->parallelFor(Order.size(), [&](size_t K, size_t Slot) {
+    size_t W = Order[K];
     Compiled[W] = Backends[Slot]->compileGenome(Genomes[CompileWork[W]]);
   });
 

@@ -54,95 +54,6 @@ bool vm::definesA(const MInsn &I) {
   }
 }
 
-void vm::forEachUse(const MInsn &I,
-                    const std::function<void(MRegIdx)> &Fn) {
-  MInsn Copy = I;
-  forEachUseMut(Copy, [&Fn](MRegIdx &R) { Fn(R); });
-}
-
-void vm::forEachUseMut(MInsn &I,
-                       const std::function<void(MRegIdx &)> &Fn) {
-  auto Visit = [&Fn](MRegIdx &R) {
-    if (R != MNoReg)
-      Fn(R);
-  };
-  switch (I.Op) {
-  case MOpcode::MNop:
-  case MOpcode::MMovImmI:
-  case MOpcode::MMovImmF:
-  case MOpcode::MGoto:
-  case MOpcode::MSafepoint:
-  case MOpcode::MLoadStatic:
-  case MOpcode::MNewInstance:
-  case MOpcode::MRetVoid:
-    break;
-
-  case MOpcode::MMov:
-  case MOpcode::MNegI:
-  case MOpcode::MNegF:
-  case MOpcode::MSqrtF:
-  case MOpcode::MI2F:
-  case MOpcode::MF2I:
-  case MOpcode::MLoadSlot:
-  case MOpcode::MArrayLen:
-  case MOpcode::MNewArray:
-  case MOpcode::MCheckNull:
-  case MOpcode::MCheckDiv:
-  case MOpcode::MGuardClass:
-    Visit(I.B);
-    break;
-
-  case MOpcode::MAddI: case MOpcode::MSubI: case MOpcode::MMulI:
-  case MOpcode::MDivI: case MOpcode::MRemI: case MOpcode::MAndI:
-  case MOpcode::MOrI: case MOpcode::MXorI: case MOpcode::MShlI:
-  case MOpcode::MShrI:
-  case MOpcode::MAddF: case MOpcode::MSubF: case MOpcode::MMulF:
-  case MOpcode::MDivF: case MOpcode::MCmpF:
-  case MOpcode::MCheckBounds:
-  case MOpcode::MALoad:
-    Visit(I.B);
-    Visit(I.C);
-    break;
-
-  case MOpcode::MIfEq: case MOpcode::MIfNe: case MOpcode::MIfLt:
-  case MOpcode::MIfLe: case MOpcode::MIfGt: case MOpcode::MIfGe:
-  case MOpcode::MIfEqz: case MOpcode::MIfNez: case MOpcode::MIfLtz:
-  case MOpcode::MIfLez: case MOpcode::MIfGtz: case MOpcode::MIfGez:
-    Visit(I.B);
-    Visit(I.C);
-    break;
-
-  case MOpcode::MStoreSlot: // A is the stored value, B the object
-    Visit(I.A);
-    Visit(I.B);
-    break;
-  case MOpcode::MStoreStatic:
-    Visit(I.A);
-    break;
-  case MOpcode::MAStore:
-    Visit(I.A);
-    Visit(I.B);
-    Visit(I.C);
-    break;
-
-  case MOpcode::MCallStatic:
-  case MOpcode::MCallVirtual:
-  case MOpcode::MCallNative:
-  case MOpcode::MIntrinsic:
-    for (unsigned N = 0; N != I.ArgCount; ++N)
-      Fn(I.Args[N]);
-    break;
-
-  case MOpcode::MRet:
-    Visit(I.B);
-    break;
-
-  case MOpcode::MOpcodeCount:
-    assert(false && "invalid opcode");
-    break;
-  }
-}
-
 bool vm::isPureOp(MOpcode Op) {
   switch (Op) {
   case MOpcode::MMovImmI:

@@ -6,9 +6,17 @@
 #include "lir/Codegen.h"
 #include "lir/FromHGraph.h"
 #include "lir/Passes.h"
+#include "support/Random.h"
 #include "tests/TestPrograms.h"
+#include "vm/MachineUtil.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <tuple>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -919,4 +927,341 @@ TEST(RangeBce, DownwardLoopsAreLeftAlone) {
   expectPipelineParity(File, "down", {vm::Value::fromI64(9)},
                        {mk(PassId::SimplifyCfg),
                         mk(PassId::BoundsCheckElim)});
+}
+
+// --- Hand-built IR: malformed phis and GVN forwarding ------------------------
+
+namespace {
+
+LInsn lirImm(ValueId Dst, int64_t V) {
+  LInsn I;
+  I.Op = MOpcode::MMovImmI;
+  I.Dst = Dst;
+  I.ImmI = V;
+  return I;
+}
+
+LInsn lirBinary(MOpcode Op, ValueId Dst, ValueId A, ValueId B) {
+  LInsn I;
+  I.Op = Op;
+  I.Dst = Dst;
+  I.A = A;
+  I.B = B;
+  return I;
+}
+
+LTerminator lirGoto(uint32_t Dest) {
+  LTerminator T;
+  T.K = LTerminator::Kind::Goto;
+  T.Taken = Dest;
+  return T;
+}
+
+LTerminator lirCond(MOpcode Op, ValueId A, ValueId B, uint32_t Taken,
+                    uint32_t Fall) {
+  LTerminator T;
+  T.K = LTerminator::Kind::Cond;
+  T.CondOp = Op;
+  T.A = A;
+  T.B = B;
+  T.Taken = Taken;
+  T.Fall = Fall;
+  return T;
+}
+
+LTerminator lirRet(ValueId V) {
+  LTerminator T;
+  T.K = LTerminator::Kind::Ret;
+  T.A = V;
+  return T;
+}
+
+/// GVN as it was before the forwarding table: one replaceAllUses sweep
+/// per redundant instruction. The differential reference for gvn().
+bool quadraticGvn(LFunction &Fn) {
+  using KeyT = std::tuple<MOpcode, ValueId, ValueId, int64_t, uint64_t,
+                          uint32_t>;
+  bool Changed = false;
+  DomTree DT = DomTree::compute(Fn);
+  std::map<KeyT, ValueId> Available;
+  auto Walk = [&](auto &Self, uint32_t Block) -> void {
+    std::vector<KeyT> Inserted;
+    for (LInsn &I : Fn.Blocks[Block].Insns) {
+      if (!vm::isPureOp(I.Op) || I.Dst == NoValue)
+        continue;
+      uint64_t FBits;
+      std::memcpy(&FBits, &I.ImmF, sizeof(FBits));
+      KeyT K{I.Op, I.A, I.B, I.ImmI, FBits, I.Idx};
+      auto It = Available.find(K);
+      if (It != Available.end()) {
+        replaceAllUses(Fn, I.Dst, It->second);
+        I = LInsn();
+        Changed = true;
+        continue;
+      }
+      Available.emplace(K, I.Dst);
+      Inserted.push_back(K);
+    }
+    for (uint32_t Child : DT.children(Block))
+      Self(Self, Child);
+    for (const KeyT &K : Inserted)
+      Available.erase(K);
+  };
+  Walk(Walk, 0);
+  return Changed;
+}
+
+} // namespace
+
+TEST(LirPasses, ConstPropLeavesAShortPhiForTheVerifier) {
+  // bb3 has three preds but its phi only one input: the shape the
+  // unsound jump-threading mode leaves behind. Folding bb2's constant
+  // branch removes pred slot 1, which that phi does not have; the pass
+  // must leave the phi alone (no erase past its end) and the verifier
+  // must still reject the arity.
+  LFunction Fn;
+  Fn.Name = "shortphi";
+  Fn.ParamCount = 1;
+  Fn.ReturnsValue = true;
+  Fn.NumValues = 4; // v0 param, v1 zero, v2 seven, v3 phi
+  Fn.Blocks.resize(5);
+  Fn.Blocks[0].Insns = {lirImm(1, 0), lirImm(2, 7)};
+  Fn.Blocks[0].Term = lirCond(MOpcode::MIfNez, 0, NoValue, 1, 2);
+  Fn.Blocks[1].Term = lirGoto(3);
+  Fn.Blocks[2].Term = lirCond(MOpcode::MIfNez, 1, NoValue, 3, 4);
+  Fn.Blocks[3].Phis = {LPhi{3, {2}}};
+  Fn.Blocks[3].Term = lirRet(3);
+  Fn.Blocks[4].Term = lirGoto(3);
+  Fn.computePreds();
+  ASSERT_EQ(Fn.Blocks[3].Preds, (std::vector<uint32_t>{1, 2, 4}));
+
+  EXPECT_TRUE(constProp(Fn));
+  EXPECT_EQ(Fn.Blocks[2].Term.K, LTerminator::Kind::Goto);
+  EXPECT_EQ(Fn.Blocks[3].Preds, (std::vector<uint32_t>{1, 4}));
+  EXPECT_EQ(Fn.Blocks[3].Phis[0].In, (std::vector<ValueId>{2}));
+  std::string Error;
+  EXPECT_FALSE(Fn.verify(Error));
+  EXPECT_EQ(Error, "block 3: phi v3 has 1 inputs for 2 preds");
+}
+
+TEST(LoopPasses, ShortExitPhiLeavesTheSelfLoopAlone) {
+  // bb1 is a rotated self-loop whose exit phi has no input for bb1's
+  // edge. Peeling or unrolling would read that input: both must leave
+  // the loop alone and the verifier must reject the phi.
+  LFunction Fn;
+  Fn.Name = "shortexit";
+  Fn.ParamCount = 1;
+  Fn.ReturnsValue = true;
+  Fn.NumValues = 5; // v0 param, v1 loop phi, v2 next, v3 exit phi, v4 one
+  Fn.Blocks.resize(3);
+  Fn.Blocks[0].Insns = {lirImm(4, 1)};
+  Fn.Blocks[0].Term = lirGoto(1);
+  Fn.Blocks[1].Phis = {LPhi{1, {4, 2}}};
+  Fn.Blocks[1].Insns = {lirBinary(MOpcode::MAddI, 2, 1, 4)};
+  Fn.Blocks[1].Term = lirCond(MOpcode::MIfLt, 2, 0, 1, 2);
+  Fn.Blocks[2].Phis = {LPhi{3, {}}};
+  Fn.Blocks[2].Term = lirRet(3);
+  Fn.computePreds();
+
+  LFunction WellFormed = Fn;
+  WellFormed.Blocks[2].Phis[0].In = {2};
+  EXPECT_TRUE(loopPeel(WellFormed, 2)); // the shape itself is peelable
+
+  LFunction Unrolled = Fn;
+  EXPECT_FALSE(loopPeel(Fn, 2));
+  EXPECT_FALSE(loopUnroll(Unrolled, 4));
+  EXPECT_FALSE(loopUnroll(Unrolled, 4, /*AssumeDivisible=*/true));
+  std::string Error;
+  EXPECT_FALSE(Fn.verify(Error));
+  EXPECT_EQ(Error, "block 2: phi v3 has 0 inputs for 1 preds");
+}
+
+TEST(LirPasses, GvnForwardsSecondOrderRedundancies) {
+  // v5 = v3 * p1 is redundant with v4 = v2 * p1 only once v3 is known to
+  // be v2: the second redundancy shows only through a forwarded operand.
+  // Phi inputs, a dominated block's operands and terminators must all see
+  // the replacements.
+  LFunction Fn;
+  Fn.Name = "gvn2";
+  Fn.ParamCount = 2;
+  Fn.ReturnsValue = true;
+  Fn.NumValues = 8;
+  Fn.Blocks.resize(3);
+  Fn.Blocks[0].Insns = {lirBinary(MOpcode::MAddI, 2, 0, 1),
+                        lirBinary(MOpcode::MAddI, 3, 0, 1),
+                        lirBinary(MOpcode::MMulI, 4, 2, 1),
+                        lirBinary(MOpcode::MMulI, 5, 3, 1)};
+  Fn.Blocks[0].Term = lirCond(MOpcode::MIfLt, 5, 0, 1, 2);
+  Fn.Blocks[1].Insns = {lirBinary(MOpcode::MSubI, 6, 5, 3)};
+  Fn.Blocks[1].Term = lirGoto(2);
+  Fn.Blocks[2].Phis = {LPhi{7, {5, 6}}};
+  Fn.Blocks[2].Term = lirRet(7);
+  Fn.computePreds();
+  std::string Error;
+  ASSERT_TRUE(Fn.verify(Error)) << Error;
+
+  LFunction Reference = Fn;
+  EXPECT_TRUE(gvn(Fn));
+  EXPECT_TRUE(quadraticGvn(Reference));
+  EXPECT_EQ(Fn.dump(), Reference.dump());
+
+  EXPECT_EQ(countLOps(Fn, MOpcode::MAddI), 1u);
+  EXPECT_EQ(countLOps(Fn, MOpcode::MMulI), 1u);
+  EXPECT_EQ(Fn.Blocks[0].Term.A, 4u);
+  EXPECT_EQ(Fn.Blocks[1].Insns[0].A, 4u);
+  EXPECT_EQ(Fn.Blocks[1].Insns[0].B, 2u);
+  EXPECT_EQ(Fn.Blocks[2].Phis[0].In, (std::vector<ValueId>{4, 6}));
+  ASSERT_TRUE(Fn.verify(Error)) << Error;
+}
+
+TEST(LirPasses, GvnMatchesTheReplaceAllUsesReference) {
+  // Differential: on every compilable method of three real workloads,
+  // after seeded random pass prefixes, the forwarding-table GVN leaves
+  // exactly the IR the one-sweep-per-replacement GVN did.
+  Rng R(0x6e7);
+  const auto &Registry = passRegistry();
+  size_t Compared = 0, Changed = 0;
+  for (const char *AppName : {"FFT", "Linpack", "Reversi Android"}) {
+    workloads::Application App = workloads::buildByName(AppName);
+    PassContext Ctx;
+    Ctx.File = App.File.get();
+    for (const dex::Method &M : App.File->methods()) {
+      if (M.IsNative || M.isUncompilable())
+        continue;
+      for (int Trial = 0; Trial != 3; ++Trial) {
+        LFunction Fn = fromHGraph(hgraph::buildHGraph(*App.File, M.Id));
+        size_t Length = static_cast<size_t>(R.below(6));
+        for (size_t P = 0; P != Length; ++P) {
+          const PassDescriptor &D = Registry[R.below(Registry.size())];
+          PassInstance Pass = mk(D.Id, D.DefaultInt,
+                                 D.HasAggressive && R.chance(0.3));
+          applyPass(Fn, Pass, Ctx);
+          if (Fn.instructionCount() > 2000)
+            break;
+        }
+        LFunction Reference = Fn;
+        bool Fast = gvn(Fn);
+        EXPECT_EQ(Fast, quadraticGvn(Reference)) << M.Name;
+        EXPECT_EQ(Fn.dump(), Reference.dump()) << M.Name;
+        ++Compared;
+        Changed += Fast;
+      }
+    }
+  }
+  EXPECT_GT(Compared, 20u);
+  EXPECT_GT(Changed, 5u);
+}
+
+// --- Prefix-resumed compilation -------------------------------------------------
+
+namespace {
+
+bool sameMachineCode(const vm::MachineFunction &X,
+                     const vm::MachineFunction &Y) {
+  if (X.NumRegs != Y.NumRegs || X.Code.size() != Y.Code.size())
+    return false;
+  for (size_t I = 0; I != X.Code.size(); ++I) {
+    const vm::MInsn &A = X.Code[I], &B = Y.Code[I];
+    if (A.Op != B.Op || A.A != B.A || A.B != B.B || A.C != B.C ||
+        A.Target != B.Target || A.Idx != B.Idx || A.ImmI != B.ImmI ||
+        std::memcmp(&A.ImmF, &B.ImmF, sizeof(A.ImmF)) != 0 ||
+        A.Hint != B.Hint || A.ArgCount != B.ArgCount ||
+        !std::equal(A.Args, A.Args + A.ArgCount, B.Args))
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
+TEST(PrefixResume, WarmCompilesMatchColdCompilesAndSkipSharedPrefixes) {
+  DexBuilder B;
+  defineMatrixSum(B);
+  DexFile File = B.build();
+  MethodId Id = File.findMethod("matSum");
+
+  std::vector<PassInstance> Base = {mk(PassId::SimplifyCfg),
+                                    mk(PassId::LoopRotate)};
+  auto With = [&](std::vector<PassInstance> Tail) {
+    std::vector<PassInstance> P = Base;
+    P.insert(P.end(), Tail.begin(), Tail.end());
+    return P;
+  };
+  std::vector<PassInstance> Explodes =
+      With({mk(PassId::Gvn), mk(PassId::LoopUnroll, 64)});
+  // In order: fresh, an extension, one differing from it only in the
+  // aggressive flag, a sibling, a size-budget explosion, a pipeline
+  // through the same explosion, one differing from the exploding pass
+  // only in its parameter, one that leaves the explosion a pass early,
+  // the empty pipeline, and the first pipeline again.
+  std::vector<std::vector<PassInstance>> Pipelines = {
+      With({mk(PassId::Dce)}),
+      With({mk(PassId::Dce), mk(PassId::GcElide, 0, true)}),
+      With({mk(PassId::Dce), mk(PassId::GcElide)}),
+      With({mk(PassId::Licm), mk(PassId::Dce)}),
+      Explodes,
+      [&] {
+        std::vector<PassInstance> P = Explodes;
+        P.push_back(mk(PassId::Dce));
+        return P;
+      }(),
+      With({mk(PassId::Gvn), mk(PassId::LoopUnroll, 2)}),
+      With({mk(PassId::Gvn), mk(PassId::Dce)}),
+      {},
+      With({mk(PassId::Dce)}),
+  };
+
+  // A budget every pass before the unroll fits in and the unroll does not.
+  size_t Budget = 0;
+  {
+    LFunction Fn = buildLir(File, "matSum");
+    PassContext Ctx;
+    Ctx.File = &File;
+    size_t Fits = Fn.instructionCount();
+    for (size_t P = 0; P + 1 != Explodes.size(); ++P) {
+      applyPass(Fn, Explodes[P], Ctx);
+      Fits = std::max(Fits, Fn.instructionCount());
+    }
+    applyPass(Fn, Explodes.back(), Ctx);
+    ASSERT_GT(Fn.instructionCount(), Fits + 1);
+    Budget = (Fits + Fn.instructionCount()) / 2;
+  }
+
+  MethodCompiler Warm(File, Id);
+  std::vector<CompileStatus> Statuses;
+  for (size_t N = 0; N != Pipelines.size(); ++N) {
+    CompileOptions Options;
+    Options.Pipeline = Pipelines[N];
+    Options.SizeBudget = Budget;
+    uint64_t AppliedBefore = Warm.passesApplied();
+    CompileResult Cold = compileMethodLlvm(File, Id, Options);
+    CompileResult Hot = Warm.compile(Options);
+    ASSERT_EQ(Hot.Status, Cold.Status) << "pipeline " << N;
+    EXPECT_EQ(Hot.Error, Cold.Error) << "pipeline " << N;
+    if (Cold.ok()) {
+      EXPECT_TRUE(sameMachineCode(*Hot.Fn, *Cold.Fn)) << "pipeline " << N;
+    }
+    if (N == 5) { // resumes into the remembered explosion: runs nothing
+      EXPECT_EQ(Warm.passesApplied(), AppliedBefore);
+    }
+    Statuses.push_back(Hot.Status);
+  }
+  EXPECT_EQ(Statuses,
+            (std::vector<CompileStatus>{
+                CompileStatus::Ok, CompileStatus::Ok, CompileStatus::Ok,
+                CompileStatus::Ok, CompileStatus::SizeBudget,
+                CompileStatus::SizeBudget, CompileStatus::Ok,
+                CompileStatus::Ok, CompileStatus::Ok, CompileStatus::Ok}));
+  // Pipelines 1-7 each resume at least the two-pass base.
+  EXPECT_GE(Warm.passesResumed(), 2u * 7u);
+
+  // A different size budget is a different key: the explosion above is
+  // not replayed under a budget the same passes fit in.
+  CompileOptions Generous;
+  Generous.Pipeline = Explodes;
+  Generous.SizeBudget = 1u << 20;
+  CompileResult Grown = Warm.compile(Generous);
+  ASSERT_TRUE(Grown.ok());
+  EXPECT_TRUE(sameMachineCode(
+      *Grown.Fn, *compileMethodLlvm(File, Id, Generous).Fn));
 }

@@ -3,8 +3,10 @@
 // The parallel evaluation engine's contracts: ThreadPool scheduling and
 // exception propagation, jobs-invariant determinism (bit-identical
 // results at any worker count), two-level memoization accounting, and
-// the Result error plumbing into EvalKind, plus the runtime-image
-// registry's concurrent first use. These tests carry the
+// the Result error plumbing into EvalKind, the runtime-image registry's
+// concurrent first use, and prefix-resumed compilation (a warm backend
+// and the engine's sorted compile order build the same binaries as a
+// cold compile). These tests carry the
 // "parallel" ctest label and are the ThreadSanitizer targets (a
 // -fsanitize=thread build, see the CI tsan job).
 //
@@ -24,7 +26,9 @@
 #include <atomic>
 #include <cstring>
 #include <latch>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -609,4 +613,104 @@ TEST(ParallelPipeline, SessionBackendsAreSemanticallyInvisible) {
   EXPECT_GT(On.ReplayBackend.SessionsCreated, 0u);
   EXPECT_EQ(Off.ReplayBackend.SessionReplays, 0u);
   EXPECT_GT(Off.ReplayBackend.FreshReplays, 0u);
+}
+
+// --- Prefix-resumed compilation ----------------------------------------------
+
+TEST(PrefixResume, WarmAndParallelCompilesMatchColdCompiles) {
+  // Seeded genome families (random parents, their mutants and crossovers,
+  // so many genomes share pass prefixes) are compiled cold, each on a
+  // fresh RegionEvaluator, then again shuffled on one warm evaluator and
+  // through the engine at 1 and 4 workers. Every route must build the
+  // same binary, and fail to build the same ones.
+  workloads::Application App = workloads::buildByName("FFT");
+  core::PipelineConfig Config = fastPipelineConfig(1);
+  Config.Search.MaxReplaysPerEvaluation = 1;
+  core::IterativeCompiler Pipeline(Config);
+  core::IterativeCompiler::ProfiledApp Profiled = Pipeline.profileApp(App);
+  ASSERT_TRUE(Profiled.Region.has_value());
+  std::optional<core::CapturedRegion> Cap =
+      Pipeline.captureRegion(*Profiled.Instance, *Profiled.Region);
+  ASSERT_TRUE(Cap.has_value());
+  const profiler::HotRegion &Region = *Profiled.Region;
+  auto NewEvaluator = [&] {
+    return std::make_unique<core::RegionEvaluator>(App, Region, Cap->Cap,
+                                                   Cap->Map, Cap->Profile,
+                                                   Config);
+  };
+
+  Rng R(0x5eed);
+  GenomeConfig GC;
+  std::vector<Genome> Genomes;
+  for (int Family = 0; Family != 16; ++Family) {
+    Genome Parent = randomGenome(R, GC);
+    Genomes.push_back(Parent);
+    for (int Child = 0; Child != 3; ++Child) {
+      Genome G = Parent;
+      mutate(G, R, GC);
+      Genomes.push_back(G);
+    }
+    Genomes.push_back(crossover(Parent, Genomes[R.below(Genomes.size())],
+                                R, GC));
+  }
+
+  // Cold: a fresh evaluator per genome; the one-shot compileAllLlvm names
+  // the failure class.
+  std::vector<CompiledBinary> Cold;
+  std::map<lir::CompileStatus, int> Classes;
+  for (const Genome &G : Genomes) {
+    Cold.push_back(NewEvaluator()->compileGenome(G));
+    lir::CompileOptions Options;
+    Options.Pipeline = G.Passes;
+    Options.RegAlloc = G.RegAlloc;
+    Options.SizeBudget = Config.Search.CompileSizeBudget;
+    vm::CodeCache Code;
+    lir::CompileStatus Status = lir::compileAllLlvm(
+        *App.File, Region.Methods, Options, Code, &Cap->Profile);
+    ++Classes[Status];
+    EXPECT_EQ(Status == lir::CompileStatus::Ok, Cold.back().Ok);
+  }
+  EXPECT_GT(Classes[lir::CompileStatus::Ok], 0);
+  EXPECT_GT(Classes[lir::CompileStatus::SizeBudget], 0);
+  EXPECT_GT(Classes[lir::CompileStatus::VerifierError], 0);
+
+  auto ExpectSame = [&](const CompiledBinary &B, size_t I,
+                        const char *Route) {
+    EXPECT_EQ(B.Ok, Cold[I].Ok) << Route << ", genome " << I;
+    EXPECT_EQ(B.BinaryHash, Cold[I].BinaryHash) << Route << ", genome " << I;
+    EXPECT_EQ(B.CodeSize, Cold[I].CodeSize) << Route << ", genome " << I;
+  };
+
+  // Warm: one evaluator, shuffled order.
+  std::vector<size_t> Order(Genomes.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  R.shuffle(Order);
+  std::unique_ptr<core::RegionEvaluator> Warm = NewEvaluator();
+  Metrics::instance().reset();
+  for (size_t I : Order)
+    ExpectSame(Warm->compileGenome(Genomes[I]), I, "warm");
+  EXPECT_GT(Metrics::instance().snapshot().counter("compile.passes_resumed"),
+            0u);
+  Metrics::instance().reset();
+
+  // The engine's sorted dispatch, at 1 and 4 workers.
+  for (int Jobs : {1, 4}) {
+    EngineOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.MaxReplays = 1;
+    EvaluationEngine Engine([&] { return NewEvaluator(); }, Opts,
+                            /*Seed=*/3);
+    std::vector<Evaluation> Results = Engine.evaluateBatch(Genomes);
+    ASSERT_EQ(Results.size(), Genomes.size());
+    for (size_t I = 0; I != Genomes.size(); ++I) {
+      EXPECT_EQ(Results[I].Kind == EvalKind::CompileError, !Cold[I].Ok)
+          << "jobs " << Jobs << ", genome " << I;
+      if (Cold[I].Ok) {
+        EXPECT_EQ(Results[I].BinaryHash, Cold[I].BinaryHash)
+            << "jobs " << Jobs << ", genome " << I;
+        EXPECT_EQ(Results[I].CodeSize, Cold[I].CodeSize)
+            << "jobs " << Jobs << ", genome " << I;
+      }
+    }
+  }
 }

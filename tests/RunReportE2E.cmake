@@ -4,7 +4,8 @@
 #   1. fig09_ga_evolution --fast --seed 1 --report A          (jobs 1)
 #   2. fig09_ga_evolution --fast --seed 1 --jobs 4 --report B
 #   3. ropt-report validate A        -> artifacts parse, manifest fields ok
-#   4. ropt-report summarize A       -> renders without error
+#   4. ropt-report summarize A       -> renders without error, with the
+#      compile-resume line (prefix-resumed compilation fired)
 #   5. evaluations.jsonl A == B      -> provenance is jobs-invariant
 #   6. ropt-report diff A B          -> zero fitness regressions
 #   7. the same pair with --racing on -> racing provenance (early stops,
@@ -65,6 +66,9 @@ if(NOT Rc EQUAL 0)
 endif()
 if(NOT Out MATCHES "Sieve")
   message(FATAL_ERROR "summary does not mention the app:\n${Out}")
+endif()
+if(NOT Out MATCHES "compile resume: [1-9][0-9]* of [0-9]+ pass applications")
+  message(FATAL_ERROR "summary has no nonzero compile-resume line:\n${Out}")
 endif()
 
 # The tentpole guarantee: byte-identical provenance at any --jobs.
