@@ -53,29 +53,39 @@ struct ReplayFixture {
   }
 };
 
+/// Replay throughput counters: replays and simulated (executor)
+/// instructions per wall-clock second.
+void setReplayCounters(benchmark::State &State, uint64_t Insns) {
+  State.SetItemsProcessed(State.iterations());
+  State.counters["replays_per_sec"] = benchmark::Counter(
+      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
+  State.counters["insns_per_sec"] = benchmark::Counter(
+      static_cast<double>(Insns), benchmark::Counter::kIsRate);
+}
+
 void runFresh(benchmark::State &State, ReplayFixture &F) {
   replay::Replayer Rep(*F.App.File, F.Natives, F.App.RtConfig, 3);
+  uint64_t Insns = 0;
   for (auto _ : State) {
     auto R = Rep.replay(F.Captured.Cap, replay::ReplayCode::Compiled,
                         &F.Android);
     benchmark::DoNotOptimize(R.Result.Cycles);
+    Insns += R.Result.Insns;
   }
-  State.SetItemsProcessed(State.iterations());
-  State.counters["replays_per_sec"] = benchmark::Counter(
-      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
+  setReplayCounters(State, Insns);
 }
 
 void runSession(benchmark::State &State, ReplayFixture &F) {
   replay::Replayer Rep(*F.App.File, F.Natives, F.App.RtConfig, 3);
   Rep.setSessionMode(true);
+  uint64_t Insns = 0;
   for (auto _ : State) {
     auto R = Rep.replay(F.Captured.Cap, replay::ReplayCode::Compiled,
                         &F.Android);
     benchmark::DoNotOptimize(R.Result.Cycles);
+    Insns += R.Result.Insns;
   }
-  State.SetItemsProcessed(State.iterations());
-  State.counters["replays_per_sec"] = benchmark::Counter(
-      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
+  setReplayCounters(State, Insns);
   State.counters["pages_per_reset"] = benchmark::Counter(
       Rep.sessionStats().pagesPerReset());
 }

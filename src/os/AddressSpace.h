@@ -24,7 +24,7 @@
 ///
 /// - **Inline access fast path.** `read`/`write` handle the common case —
 ///   page-local access, permitted protection, (for writes) already-private
-///   backing — entirely in the header against a small multi-entry
+///   backing — entirely in the header against a 64-entry direct-mapped
 ///   translation cache; everything else tails into the out-of-line slow
 ///   path, which also keeps the fault accounting. A private page under an
 ///   armed snapshot is by construction already in the dirty set, so the
@@ -86,6 +86,13 @@ public:
   using FaultHandler = std::function<bool(uint64_t Addr, bool IsWrite)>;
 
   AddressSpace() = default;
+  /// Not copyable: cached translations point into this space's own page
+  /// table (forkClone() is the copy that shares pages). Moves carry the
+  /// page table and its cache together.
+  AddressSpace(const AddressSpace &) = delete;
+  AddressSpace &operator=(const AddressSpace &) = delete;
+  AddressSpace(AddressSpace &&) = default;
+  AddressSpace &operator=(AddressSpace &&) = default;
 
   /// Maps \p Size bytes (rounded up to pages) at \p Start with \p Prot.
   /// The range must not overlap an existing mapping.
@@ -250,40 +257,61 @@ private:
   AccessResult readSlow(uint64_t Addr, void *Out, uint64_t Size);
   AccessResult writeSlow(uint64_t Addr, const void *Data, uint64_t Size);
 
-  // Small fully-associative translation cache in front of the page table.
+  // Direct-mapped translation cache in front of the page table.
   // unordered_map never moves its nodes, so cached PageEntry pointers stay
   // valid until a page is erased (unmapRegion invalidates the cache).
-  static constexpr size_t TranslationWays = 4;
+  static constexpr size_t TranslationSlots = 64;
   struct TranslationEntry {
     uint64_t PageNum = ~0ULL;
     PageEntry *Entry = nullptr;
   };
 
+  /// The slot of \p PageNum. The page number's low six bits alone would
+  /// put every mapping base in slot 0 (the standard layout's bases are
+  /// all multiples of 64 pages), so two higher 6-bit groups fold in. The
+  /// pages of one aligned 64-page block still take 64 distinct slots.
+  static size_t translationSlot(uint64_t PageNum) {
+    return static_cast<size_t>(PageNum ^ (PageNum >> 6) ^ (PageNum >> 12)) &
+           (TranslationSlots - 1);
+  }
+
+  /// The cache moves with the page table its entries point into and
+  /// leaves the moved-from side empty.
+  struct TranslationCache {
+    std::array<TranslationEntry, TranslationSlots> Slots{};
+
+    TranslationCache() = default;
+    TranslationCache(TranslationCache &&Other) noexcept
+        : Slots(Other.Slots) {
+      Other.clear();
+    }
+    TranslationCache &operator=(TranslationCache &&Other) noexcept {
+      if (this != &Other) {
+        Slots = Other.Slots;
+        Other.clear();
+      }
+      return *this;
+    }
+    void clear() { Slots.fill(TranslationEntry()); }
+  };
+
   PageEntry *lookupTranslation(uint64_t PageNum) const {
-    for (const TranslationEntry &T : Translations)
-      if (T.PageNum == PageNum)
-        return T.Entry;
-    return nullptr;
+    const TranslationEntry &T = Translations.Slots[translationSlot(PageNum)];
+    return T.PageNum == PageNum ? T.Entry : nullptr;
   }
 
   void fillTranslation(uint64_t PageNum, PageEntry *Entry) const {
-    Translations[TranslationVictim] = {PageNum, Entry};
-    TranslationVictim = (TranslationVictim + 1) % TranslationWays;
+    Translations.Slots[translationSlot(PageNum)] = {PageNum, Entry};
   }
 
-  void invalidateTranslations() const {
-    for (TranslationEntry &T : Translations)
-      T = TranslationEntry();
-    TranslationVictim = 0;
-  }
+  void invalidateTranslations() const { Translations.clear(); }
 
   std::unordered_map<uint64_t, PageEntry> Pages;
   std::vector<Mapping> Mappings; ///< Kept sorted by Start.
   FaultHandler OnFault;
   MemoryStats Stats;
 
-  mutable std::array<TranslationEntry, TranslationWays> Translations;
-  mutable size_t TranslationVictim = 0;
+  mutable TranslationCache Translations;
 
   // Snapshot/restore state (replay fork-server support).
   std::unordered_map<uint64_t, PageEntry> SnapshotPages;

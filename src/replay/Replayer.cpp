@@ -212,6 +212,9 @@ void Replayer::runRegion(AddressSpace &Space, const capture::Capture &Cap,
   }
 
   ROPT_METRIC_INC("replay.replays");
+  // Simulated instructions executed under replay.execute: the executor
+  // throughput line of `ropt-report summarize` divides that span by this.
+  ROPT_METRIC_ADD("replay.insns", Out.Result.Insns);
   ROPT_METRIC_OBSERVE("replay.cycles", Out.Result.Cycles,
                       ({1e4, 1e5, 1e6, 1e7, 1e8, 1e9}));
 }

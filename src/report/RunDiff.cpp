@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -609,11 +610,20 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
   Out << "seed: " << static_cast<uint64_t>(M.number("seed")) << "   jobs: "
       << static_cast<int>(M.number("jobs"))
       << "   evaluations: " << Run.Evaluations.size() << "\n";
-  // Prefix-resumed compilation (metrics.json counters): the share of pass
-  // applications the compile backends skipped by resuming from the IR
-  // they kept after an earlier pipeline's shared prefix.
+  // The run's Chrome trace, absent or empty when tracing was off: the
+  // executor line and the top-spans table read it.
+  std::optional<analysis::SpanDag> Dag;
+  if (support::Result<std::string> TraceText =
+          slurp(Run.Dir + "/" + TraceFile))
+    if (support::Result<analysis::SpanDag> Parsed =
+            analysis::SpanDag::fromChromeJson(TraceText.value()))
+      Dag = std::move(Parsed).value();
+
   if (const json::Value *Counters =
           Run.HasMetrics ? Run.Metrics.find("counters") : nullptr) {
+    // Prefix-resumed compilation: the share of pass applications the
+    // compile backends skipped by resuming from the IR they kept after an
+    // earlier pipeline's shared prefix.
     double Applied = Counters->number("compile.passes_applied");
     double Resumed = Counters->number("compile.passes_resumed");
     if (Applied + Resumed > 0.0)
@@ -622,6 +632,23 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
           << " pass applications resumed from a kept prefix ("
           << format("%.1f", 100.0 * Resumed / (Applied + Resumed))
           << "%)\n";
+    // Executor throughput: simulated instructions of every replayed
+    // region call, over the wall time of their replay.execute spans.
+    double Insns = Counters->number("replay.insns");
+    if (Insns > 0.0) {
+      Out << "executor: " << format("%.0f", Insns)
+          << " simulated instructions replayed";
+      uint64_t ExecuteUs = 0;
+      if (Dag)
+        for (const analysis::SpanNode &Node : Dag->nodes())
+          if (Node.Name == "replay.execute")
+            ExecuteUs += Node.DurUs;
+      if (ExecuteUs > 0)
+        Out << ", " << format("%.2f", 1000.0 * ExecuteUs / Insns)
+            << " ns each (replay.execute "
+            << format("%.1f", ExecuteUs / 1000.0) << " ms)";
+      Out << "\n";
+    }
   }
   Out << "\n";
 
@@ -836,25 +863,20 @@ std::string report::summarize(const LoadedRun &Run, bool Markdown) {
     Out << "\n";
   }
 
-  // Top spans by wall-clock, from the run's Chrome trace. Absent or
-  // empty traces (tracing was not enabled for the run) skip the section.
-  if (support::Result<std::string> TraceText =
-          slurp(Run.Dir + "/" + TraceFile)) {
-    support::Result<analysis::SpanDag> Dag =
-        analysis::SpanDag::fromChromeJson(TraceText.value());
-    if (Dag && !Dag.value().nodes().empty()) {
-      std::vector<analysis::SpanStats> Top = Dag.value().topSpans(10);
-      Out << H << "top spans" << HEnd << "\n";
-      Out << format("%-28s %8s %12s %12s", "name", "count", "total ms",
-                    "self ms")
+  // Top spans by wall-clock. Absent or empty traces (tracing was not
+  // enabled for the run) skip the section.
+  if (Dag && !Dag->nodes().empty()) {
+    std::vector<analysis::SpanStats> Top = Dag->topSpans(10);
+    Out << H << "top spans" << HEnd << "\n";
+    Out << format("%-28s %8s %12s %12s", "name", "count", "total ms",
+                  "self ms")
+        << "\n";
+    for (const analysis::SpanStats &S : Top)
+      Out << format("%-28s %8llu %12.3f %12.3f", S.Name.c_str(),
+                    static_cast<unsigned long long>(S.Count),
+                    S.TotalUs / 1000.0, S.SelfUs / 1000.0)
           << "\n";
-      for (const analysis::SpanStats &S : Top)
-        Out << format("%-28s %8llu %12.3f %12.3f", S.Name.c_str(),
-                      static_cast<unsigned long long>(S.Count),
-                      S.TotalUs / 1000.0, S.SelfUs / 1000.0)
-            << "\n";
-      Out << "\n";
-    }
+    Out << "\n";
   }
   return Out.str();
 }

@@ -5,6 +5,16 @@
 // an unsound optimization produces genuine memory corruption, wild traps,
 // or silently wrong results — exactly the failure classes Figure 1 counts.
 //
+// The loop runs the executable form CodeCache::install decoded once per
+// function (vm/Machine.h, DESIGN.md §19): 32-byte instructions, spill
+// touches precomputed, and an end sentinel in place of a bounds test per
+// step. The frame's cycle and instruction counts live in locals and are
+// flushed into the runtime's counters and the AttributeCycles profile
+// before every nested invoke, every native call (natives read the cycle
+// clock), every return and the exit on a trap. Every charge, cache
+// access, predictor update and trap happens in the same order as in a
+// plain loop over MInsns; tests/VmTests.cpp pins the results.
+//
 //===----------------------------------------------------------------------===//
 
 #include "vm/IntOps.h"
@@ -13,6 +23,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+
+// The step's helpers are lambdas over the frame's cycle and instruction
+// locals; one left out of line takes those locals' addresses and pins
+// them to memory for the whole loop.
+#if defined(__GNUC__) || defined(__clang__)
+#define ROPT_INLINE __attribute__((always_inline))
+#else
+#define ROPT_INLINE
+#endif
 
 using namespace ropt;
 using namespace ropt::vm;
@@ -48,7 +67,7 @@ double runIntrinsic(IntrinsicKind Kind, const Value *Args) {
 
 } // namespace
 
-Value Runtime::execMachine(const MachineFunction &Fn,
+Value Runtime::execMachine(const ExecFunction &Fn,
                            const std::vector<Value> &Args) {
   assert(Args.size() == Fn.ParamCount && "argument count mismatch");
 
@@ -70,59 +89,106 @@ Value Runtime::execMachine(const MachineFunction &Fn,
   // Scratch argument buffer: one allocation per frame, not per call insn.
   std::vector<Value> CallArgs;
 
-  charge(Costs.CallCycles);
+  // Local copy: lets the per-instruction charges stay in registers.
+  const CycleCostModel CM = Costs;
+  const uint64_t InsLimit = Config.InsnBudget;
+  // This frame's profile slots; null unless AttributeCycles (invoke has
+  // pushed this method, and nothing resizes the profile mid-call).
+  uint64_t *SelfCycles = nullptr;
+  MethodFeatureCounters *Feat = nullptr;
+  if (Config.AttributeCycles && !AttributionStack.empty()) {
+    SelfCycles = &MethodCycles[AttributionStack.back()];
+    Feat = &MethodFeatures[AttributionStack.back()];
+  }
 
-  // Extra cycles per touch of a register that did not fit the physical
-  // register file: the regalloc quality dimension. A function whose frame
-  // fits the register file cannot touch a spilled register at all, so the
-  // whole per-instruction scan is hoisted behind one loop-invariant test.
-  const bool MaySpill = Fn.NumRegs > PhysRegCount;
-  auto SpillCost = [&](const MInsn &I) {
-    uint32_t Touches = 0;
-    if (I.A != MNoReg && I.A >= PhysRegCount)
-      ++Touches;
-    if (I.B != MNoReg && I.B >= PhysRegCount)
-      ++Touches;
-    if (I.C != MNoReg && I.C >= PhysRegCount)
-      ++Touches;
-    for (unsigned N = 0; N != I.ArgCount; ++N)
-      if (I.Args[N] >= PhysRegCount)
-        ++Touches;
-    if (Touches)
-      charge(static_cast<uint64_t>(Touches) * Costs.SpillTouchCycles);
+  // Cycles charged since the last flush, and the top-level call's
+  // instruction count (CallInsns as of the last flush is InsFlushed).
+  uint64_t Cyc = CM.CallCycles;
+  uint64_t Ins = CallInsns;
+  uint64_t InsFlushed = Ins;
+
+  auto Flush = [&]() ROPT_INLINE {
+    uint64_t NewIns = Ins - InsFlushed;
+    CallCycles += Cyc;
+    TotalCycles += Cyc;
+    CallInsns = Ins;
+    TotalInsns += NewIns;
+    if (Feat) {
+      *SelfCycles += Cyc;
+      Feat->Insns += NewIns;
+    }
+    Cyc = 0;
+    InsFlushed = Ins;
+  };
+  // A nested call advanced CallInsns; continue counting from there.
+  auto Resync = [&]() ROPT_INLINE { Ins = InsFlushed = CallInsns; };
+
+  auto MemRead = [&](uint64_t Addr) ROPT_INLINE {
+    bool Hit = DCache.access(Addr);
+    Cyc += Hit ? CM.LoadCycles : CM.LoadCycles + CM.CacheMissPenalty;
+    if (Feat) {
+      ++Feat->MemReads;
+      if (!Hit)
+        ++Feat->CacheMisses;
+    }
+  };
+  auto Load = [&](uint64_t Addr, Value &Out) ROPT_INLINE {
+    MemRead(Addr);
+    uint64_t Bits = 0;
+    if (Space.loadU64(Addr, Bits) == os::AccessResult::Ok)
+      Out.Raw = Bits;
+    else
+      Trap = TrapKind::MemoryFault;
+  };
+  auto Store = [&](uint64_t Addr, Value V) ROPT_INLINE {
+    DCache.access(Addr); // stores install the line; latency is absorbed
+    if (Feat)
+      ++Feat->MemWrites;
+    Cyc += CM.StoreCycles;
+    if (Space.storeU64(Addr, V.Raw) != os::AccessResult::Ok)
+      Trap = TrapKind::MemoryFault;
+    else if (Observer)
+      Observer->onCellWrite(Addr);
   };
 
-  auto TakeBranch = [&](const MInsn &I, size_t Pc, bool Taken) {
-    charge(Costs.BranchCycles);
+  // Returns the next pc of the conditional branch at \p Pc.
+  auto CondBranch = [&](const ExecInsn &I, size_t Pc,
+                        bool Taken) ROPT_INLINE {
+    Cyc += CM.BranchCycles;
+    uint64_t Site = (static_cast<uint64_t>(Fn.Method) << 20) ^ Pc;
     bool PredictedRight;
     if (I.Hint == BranchHint::Likely)
       PredictedRight = Taken;
     else if (I.Hint == BranchHint::Unlikely)
       PredictedRight = !Taken;
     else
-      PredictedRight = Predictor.predictAndUpdate(
-          (static_cast<uint64_t>(Fn.Method) << 20) ^ Pc, Taken);
+      PredictedRight = Predictor.predictAndUpdate(Site, Taken);
     if (!PredictedRight)
-      charge(Costs.BranchMispredictPenalty);
-    noteBranch((static_cast<uint64_t>(Fn.Method) << 20) ^ Pc, Taken);
+      Cyc += CM.BranchMispredictPenalty;
+    noteBranch(Site, Taken);
+    return Taken ? static_cast<size_t>(I.Target) : Pc + 1;
   };
 
+  const ExecInsn *Code = Fn.Code.data();
+  const MRegIdx *ArgPool = Fn.ArgPool.data();
   size_t Pc = 0;
-  const MInsn *Code = Fn.Code.data();
-  const size_t CodeSize = Fn.Code.size();
 
   while (Trap == TrapKind::None) {
-    if (Pc >= CodeSize) {
-      // Malformed code (e.g. produced by a broken pass pipeline that
-      // slipped past the IR verifier): treat as a crash.
-      Trap = TrapKind::MemoryFault;
+    const ExecInsn &I = Code[Pc];
+    if (++Ins > InsLimit) [[unlikely]] {
+      // The sentinel is no instruction: running off the end faults
+      // uncounted even on the step where the budget runs out.
+      if (I.Op == MOpcode::MEnd) {
+        --Ins;
+        Trap = TrapKind::MemoryFault;
+      } else {
+        Trap = TrapKind::Timeout;
+      }
       break;
     }
-    const MInsn &I = Code[Pc];
-    if (!consumeInsn())
-      break;
-    if (MaySpill)
-      SpillCost(I);
+    // Extra cycles per touch of a register that did not fit the physical
+    // register file: the regalloc quality dimension.
+    Cyc += static_cast<uint64_t>(I.SpillTouches) * CM.SpillTouchCycles;
 
     size_t NextPc = Pc + 1;
 
@@ -130,40 +196,37 @@ Value Runtime::execMachine(const MachineFunction &Fn,
     case MOpcode::MNop:
       break;
     case MOpcode::MMovImmI:
-      R[I.A] = Value::fromI64(I.ImmI);
-      charge(Costs.MoveCycles);
-      break;
     case MOpcode::MMovImmF:
-      R[I.A] = Value::fromF64(I.ImmF);
-      charge(Costs.MoveCycles);
+      R[I.A].Raw = I.Imm;
+      Cyc += CM.MoveCycles;
       break;
     case MOpcode::MMov:
       R[I.A] = R[I.B];
-      charge(Costs.MoveCycles);
+      Cyc += CM.MoveCycles;
       break;
 
     case MOpcode::MAddI:
       R[I.A] = Value::fromI64(wrapAdd(R[I.B].asI64(), R[I.C].asI64()));
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MSubI:
       R[I.A] = Value::fromI64(wrapSub(R[I.B].asI64(), R[I.C].asI64()));
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MMulI:
       R[I.A] = Value::fromI64(wrapMul(R[I.B].asI64(), R[I.C].asI64()));
-      charge(Costs.MulCycles);
+      Cyc += CM.MulCycles;
       break;
     case MOpcode::MDivI: {
       // Unchecked: the compiler must have emitted MCheckDiv if the divisor
-      // can be zero. Hardware still faults on zero.
+      // can be zero. Hardware still faults on zero, before the divide.
       int64_t Divisor = R[I.C].asI64();
       if (Divisor == 0) {
         Trap = TrapKind::DivByZero;
         break;
       }
       R[I.A] = Value::fromI64(javaDiv(R[I.B].asI64(), Divisor));
-      charge(Costs.DivCycles);
+      Cyc += CM.DivCycles;
       break;
     }
     case MOpcode::MRemI: {
@@ -173,116 +236,125 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         break;
       }
       R[I.A] = Value::fromI64(javaRem(R[I.B].asI64(), Divisor));
-      charge(Costs.DivCycles);
+      Cyc += CM.DivCycles;
       break;
     }
     case MOpcode::MAndI:
       R[I.A] = Value::fromI64(R[I.B].asI64() & R[I.C].asI64());
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MOrI:
       R[I.A] = Value::fromI64(R[I.B].asI64() | R[I.C].asI64());
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MXorI:
       R[I.A] = Value::fromI64(R[I.B].asI64() ^ R[I.C].asI64());
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MShlI:
       R[I.A] = Value::fromI64(shiftLeft(R[I.B].asI64(), R[I.C].asI64()));
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MShrI:
       R[I.A] = Value::fromI64(shiftRight(R[I.B].asI64(), R[I.C].asI64()));
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
     case MOpcode::MNegI:
       R[I.A] = Value::fromI64(wrapNeg(R[I.B].asI64()));
-      charge(Costs.AluCycles);
+      Cyc += CM.AluCycles;
       break;
 
     case MOpcode::MAddF:
       R[I.A] = Value::fromF64(R[I.B].asF64() + R[I.C].asF64());
-      charge(Costs.FAddCycles);
+      Cyc += CM.FAddCycles;
       break;
     case MOpcode::MSubF:
       R[I.A] = Value::fromF64(R[I.B].asF64() - R[I.C].asF64());
-      charge(Costs.FAddCycles);
+      Cyc += CM.FAddCycles;
       break;
     case MOpcode::MMulF:
       R[I.A] = Value::fromF64(R[I.B].asF64() * R[I.C].asF64());
-      charge(Costs.FMulCycles);
+      Cyc += CM.FMulCycles;
       break;
     case MOpcode::MDivF:
       R[I.A] = Value::fromF64(R[I.B].asF64() / R[I.C].asF64());
-      charge(Costs.FDivCycles);
+      Cyc += CM.FDivCycles;
       break;
     case MOpcode::MNegF:
       R[I.A] = Value::fromF64(-R[I.B].asF64());
-      charge(Costs.FAddCycles);
+      Cyc += CM.FAddCycles;
       break;
     case MOpcode::MCmpF: {
       double A = R[I.B].asF64(), B = R[I.C].asF64();
       R[I.A] = Value::fromI64((A < B) ? -1 : (A == B ? 0 : 1));
-      charge(Costs.FAddCycles);
+      Cyc += CM.FAddCycles;
       break;
     }
     case MOpcode::MSqrtF:
       R[I.A] = Value::fromF64(std::sqrt(R[I.B].asF64()));
-      charge(Costs.FSqrtCycles);
+      Cyc += CM.FSqrtCycles;
       break;
     case MOpcode::MI2F:
       R[I.A] = Value::fromF64(static_cast<double>(R[I.B].asI64()));
-      charge(Costs.ConvCycles);
+      Cyc += CM.ConvCycles;
       break;
     case MOpcode::MF2I:
       R[I.A] = Value::fromI64(doubleToInt(R[I.B].asF64()));
-      charge(Costs.ConvCycles);
+      Cyc += CM.ConvCycles;
       break;
 
     case MOpcode::MGoto:
-      NextPc = static_cast<size_t>(I.Target);
-      charge(Costs.BranchCycles);
+      NextPc = I.Target;
+      Cyc += CM.BranchCycles;
       break;
+    // The decoder spells a compare against an absent C as the z-form.
     case MOpcode::MIfEq:
-    case MOpcode::MIfNe:
-    case MOpcode::MIfLt:
-    case MOpcode::MIfLe:
-    case MOpcode::MIfGt:
-    case MOpcode::MIfGe:
-    case MOpcode::MIfEqz:
-    case MOpcode::MIfNez:
-    case MOpcode::MIfLtz:
-    case MOpcode::MIfLez:
-    case MOpcode::MIfGtz:
-    case MOpcode::MIfGez: {
-      int64_t A = R[I.B].asI64();
-      int64_t B = I.C == MNoReg ? 0 : R[I.C].asI64();
-      bool Taken = false;
-      switch (I.Op) {
-      case MOpcode::MIfEq: case MOpcode::MIfEqz: Taken = A == B; break;
-      case MOpcode::MIfNe: case MOpcode::MIfNez: Taken = A != B; break;
-      case MOpcode::MIfLt: case MOpcode::MIfLtz: Taken = A < B; break;
-      case MOpcode::MIfLe: case MOpcode::MIfLez: Taken = A <= B; break;
-      case MOpcode::MIfGt: case MOpcode::MIfGtz: Taken = A > B; break;
-      default: Taken = A >= B; break;
-      }
-      TakeBranch(I, Pc, Taken);
-      if (Taken)
-        NextPc = static_cast<size_t>(I.Target);
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() == R[I.C].asI64());
       break;
-    }
+    case MOpcode::MIfNe:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() != R[I.C].asI64());
+      break;
+    case MOpcode::MIfLt:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() < R[I.C].asI64());
+      break;
+    case MOpcode::MIfLe:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() <= R[I.C].asI64());
+      break;
+    case MOpcode::MIfGt:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() > R[I.C].asI64());
+      break;
+    case MOpcode::MIfGe:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() >= R[I.C].asI64());
+      break;
+    case MOpcode::MIfEqz:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() == 0);
+      break;
+    case MOpcode::MIfNez:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() != 0);
+      break;
+    case MOpcode::MIfLtz:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() < 0);
+      break;
+    case MOpcode::MIfLez:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() <= 0);
+      break;
+    case MOpcode::MIfGtz:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() > 0);
+      break;
+    case MOpcode::MIfGez:
+      NextPc = CondBranch(I, Pc, R[I.B].asI64() >= 0);
+      break;
 
     case MOpcode::MCheckNull:
-      charge(Costs.CheckCycles);
+      Cyc += CM.CheckCycles;
       if (R[I.B].isNullRef())
         Trap = TrapKind::NullPointer;
       break;
     case MOpcode::MCheckBounds: {
-      charge(Costs.CheckCycles);
+      Cyc += CM.CheckCycles;
       uint64_t Arr = R[I.B].asRef();
       ObjectHeader Header;
-      chargeMemRead(Arr);
+      MemRead(Arr);
       if (!TheHeap.readHeader(Arr, Header)) {
         Trap = TrapKind::MemoryFault;
         break;
@@ -293,68 +365,59 @@ Value Runtime::execMachine(const MachineFunction &Fn,
       break;
     }
     case MOpcode::MCheckDiv:
-      charge(Costs.CheckCycles);
+      Cyc += CM.CheckCycles;
       if (R[I.B].asI64() == 0)
         Trap = TrapKind::DivByZero;
       break;
     case MOpcode::MSafepoint:
-      safepoint();
+      Cyc += CM.SafepointCycles;
+      Cyc += TheHeap.pollSafepoint(CM.GcPauseCycles);
       break;
     case MOpcode::MGuardClass: {
-      charge(Costs.CheckCycles);
+      Cyc += CM.CheckCycles;
       uint64_t Obj = R[I.B].asRef();
       ObjectHeader Header;
-      chargeMemRead(Obj);
+      MemRead(Obj);
       if (Obj == 0 || !TheHeap.readHeader(Obj, Header)) {
         Trap = TrapKind::MemoryFault;
         break;
       }
       if (Header.ClassOrElem != I.Idx) {
         // Speculation failed: branch to the slow path.
-        charge(Costs.BranchMispredictPenalty);
-        NextPc = static_cast<size_t>(I.Target);
+        Cyc += CM.BranchMispredictPenalty;
+        NextPc = I.Target;
       }
       break;
     }
 
-    case MOpcode::MLoadSlot: {
-      uint64_t Bits = 0;
-      if (memLoad(Heap::slotAddr(R[I.B].asRef(), I.Idx), Bits))
-        R[I.A].Raw = Bits;
+    case MOpcode::MLoadSlot:
+      Load(Heap::slotAddr(R[I.B].asRef(), I.Idx), R[I.A]);
       break;
-    }
     case MOpcode::MStoreSlot:
-      memStore(Heap::slotAddr(R[I.B].asRef(), I.Idx), R[I.A].Raw);
+      Store(Heap::slotAddr(R[I.B].asRef(), I.Idx), R[I.A]);
       break;
-    case MOpcode::MLoadStatic: {
-      uint64_t Bits = 0;
-      if (memLoad(staticSlotAddr(I.Idx), Bits))
-        R[I.A].Raw = Bits;
+    case MOpcode::MLoadStatic:
+      Load(staticSlotAddr(I.Idx), R[I.A]);
       break;
-    }
     case MOpcode::MStoreStatic:
-      memStore(staticSlotAddr(I.Idx), R[I.A].Raw);
+      Store(staticSlotAddr(I.Idx), R[I.A]);
       break;
-    case MOpcode::MALoad: {
+    case MOpcode::MALoad:
       // Unchecked by design: a wrong index after an unsound bounds-check
       // elimination reads whatever lives there.
-      uint64_t Addr = Heap::elemAddr(
-          R[I.B].asRef(), static_cast<uint64_t>(R[I.C].asI64()));
-      uint64_t Bits = 0;
-      if (memLoad(Addr, Bits))
-        R[I.A].Raw = Bits;
+      Load(Heap::elemAddr(R[I.B].asRef(),
+                          static_cast<uint64_t>(R[I.C].asI64())),
+           R[I.A]);
       break;
-    }
-    case MOpcode::MAStore: {
-      uint64_t Addr = Heap::elemAddr(
-          R[I.B].asRef(), static_cast<uint64_t>(R[I.C].asI64()));
-      memStore(Addr, R[I.A].Raw);
+    case MOpcode::MAStore:
+      Store(Heap::elemAddr(R[I.B].asRef(),
+                           static_cast<uint64_t>(R[I.C].asI64())),
+            R[I.A]);
       break;
-    }
     case MOpcode::MArrayLen: {
       uint64_t Arr = R[I.B].asRef();
       ObjectHeader Header;
-      chargeMemRead(Arr);
+      MemRead(Arr);
       if (!TheHeap.readHeader(Arr, Header)) {
         Trap = TrapKind::MemoryFault;
         break;
@@ -365,8 +428,7 @@ Value Runtime::execMachine(const MachineFunction &Fn,
 
     case MOpcode::MNewInstance: {
       const dex::ClassInfo &Cls = Dex.classAt(I.Idx);
-      charge(Costs.AllocBaseCycles +
-             Costs.AllocPerSlotCycles * Cls.InstanceSlots);
+      Cyc += CM.AllocBaseCycles + CM.AllocPerSlotCycles * Cls.InstanceSlots;
       noteAlloc(Cls.InstanceSlots);
       R[I.A] = Value::fromRef(TheHeap.allocate(
           ObjKind::Object, Cls.Id, Cls.InstanceSlots, Trap));
@@ -378,8 +440,8 @@ Value Runtime::execMachine(const MachineFunction &Fn,
         Trap = TrapKind::OutOfBounds;
         break;
       }
-      charge(Costs.AllocBaseCycles +
-             Costs.AllocPerSlotCycles * static_cast<uint64_t>(Len));
+      Cyc += CM.AllocBaseCycles +
+             CM.AllocPerSlotCycles * static_cast<uint64_t>(Len);
       noteAlloc(static_cast<uint64_t>(Len));
       R[I.A] = Value::fromRef(
           TheHeap.allocate(static_cast<ObjKind>(I.Idx), 0,
@@ -390,19 +452,23 @@ Value Runtime::execMachine(const MachineFunction &Fn,
     case MOpcode::MCallStatic:
     case MOpcode::MCallVirtual:
     case MOpcode::MCallNative: {
+      const MRegIdx *ArgRegs = ArgPool + I.ArgBase;
       CallArgs.resize(I.ArgCount);
       for (unsigned N = 0; N != I.ArgCount; ++N)
-        CallArgs[N] = R[I.Args[N]];
+        CallArgs[N] = R[ArgRegs[N]];
       Value Ret;
       if (I.Op == MOpcode::MCallNative) {
+        Flush();
         Ret = callNative(I.Idx, CallArgs);
       } else if (I.Op == MOpcode::MCallStatic) {
+        Flush();
         Ret = invoke(I.Idx, CallArgs);
+        Resync();
       } else {
-        charge(Costs.VirtualDispatchCycles);
+        Cyc += CM.VirtualDispatchCycles;
         uint64_t Receiver = CallArgs[0].asRef();
         ObjectHeader Header;
-        chargeMemRead(Receiver);
+        MemRead(Receiver);
         if (Receiver == 0 || !TheHeap.readHeader(Receiver, Header)) {
           Trap = TrapKind::MemoryFault;
           break;
@@ -422,9 +488,11 @@ Value Runtime::execMachine(const MachineFunction &Fn,
           Trap = TrapKind::MemoryFault;
           break;
         }
+        Flush();
         Ret = invoke(
             ClsInfo.VTable[static_cast<size_t>(Declared.VTableSlot)],
             CallArgs);
+        Resync();
       }
       if (Trap != TrapKind::None)
         break;
@@ -434,22 +502,34 @@ Value Runtime::execMachine(const MachineFunction &Fn,
     }
 
     case MOpcode::MIntrinsic: {
+      const MRegIdx *ArgRegs = ArgPool + I.ArgBase;
       Value ArgVals[MMaxArgs];
       for (unsigned N = 0; N != I.ArgCount; ++N)
-        ArgVals[N] = R[I.Args[N]];
-      charge(intrinsicWorkCycles(static_cast<IntrinsicKind>(I.Idx)));
+        ArgVals[N] = R[ArgRegs[N]];
+      Cyc += intrinsicWorkCycles(static_cast<IntrinsicKind>(I.Idx));
       R[I.A] = Value::fromF64(
           runIntrinsic(static_cast<IntrinsicKind>(I.Idx), ArgVals));
       break;
     }
 
-    case MOpcode::MRet:
-      charge(Costs.ReturnCycles);
-      return R[I.B];
+    case MOpcode::MRet: {
+      Cyc += CM.ReturnCycles;
+      Value Ret = R[I.B];
+      Flush();
+      return Ret;
+    }
     case MOpcode::MRetVoid:
-      charge(Costs.ReturnCycles);
+      Cyc += CM.ReturnCycles;
+      Flush();
       return Value();
 
+    case MOpcode::MEnd:
+      // Ran past the last instruction or branched outside the code
+      // (malformed code from a broken pass pipeline that slipped past the
+      // IR verifier): a crash, and not an executed instruction.
+      --Ins;
+      Trap = TrapKind::MemoryFault;
+      break;
     case MOpcode::MOpcodeCount:
       Trap = TrapKind::MemoryFault;
       break;
@@ -457,5 +537,6 @@ Value Runtime::execMachine(const MachineFunction &Fn,
 
     Pc = NextPc;
   }
+  Flush();
   return Value();
 }

@@ -9,14 +9,6 @@
 using namespace ropt;
 using namespace ropt::vm;
 
-uint64_t Heap::readControl(uint64_t Slot) {
-  uint64_t Value = 0;
-  [[maybe_unused]] os::AccessResult R =
-      Space.loadU64(Layout::HeapBase + Slot, Value);
-  assert(R == os::AccessResult::Ok && "heap control block unreachable");
-  return Value;
-}
-
 void Heap::writeControl(uint64_t Slot, uint64_t Value) {
   [[maybe_unused]] os::AccessResult R =
       Space.storeU64(Layout::HeapBase + Slot, Value);
@@ -70,10 +62,6 @@ uint64_t Heap::allocate(ObjKind Kind, uint32_t ClassOrElem, uint64_t Count,
   return Ref;
 }
 
-bool Heap::readHeader(uint64_t Ref, ObjectHeader &Out) {
-  return Space.read(Ref, &Out, sizeof(Out)) == os::AccessResult::Ok;
-}
-
 uint64_t Heap::bytesAllocated() {
   return readControl(BumpOffsetSlot) - ControlBlockSize;
 }
@@ -82,12 +70,7 @@ bool Heap::gcImminent() {
   return readControl(BytesSinceGcSlot) * 10 >= GcThresholdBytes * 9;
 }
 
-uint64_t Heap::pollSafepoint(uint64_t GcPauseCycles) {
-  // Collect as soon as a collection is "imminent" (the same 90% bar the
-  // capture scheduler postpones on) — a postponed capture must always get
-  // its chance on a later run.
-  if (readControl(BytesSinceGcSlot) * 10 < GcThresholdBytes * 9)
-    return 0;
+uint64_t Heap::collect(uint64_t GcPauseCycles) {
   // "Collect": charge the pause and walk every allocated page, as a tracing
   // collector would. The walk performs protected reads so that a concurrent
   // capture observes the page traffic.

@@ -25,6 +25,7 @@
 #include "os/AddressSpace.h"
 #include "vm/Trap.h"
 
+#include <cassert>
 #include <cstdint>
 
 namespace ropt {
@@ -88,7 +89,9 @@ public:
                     TrapKind &Trap);
 
   /// Reads the header at \p Ref. Returns false on access failure.
-  bool readHeader(uint64_t Ref, ObjectHeader &Out);
+  bool readHeader(uint64_t Ref, ObjectHeader &Out) {
+    return Space.read(Ref, &Out, sizeof(Out)) == os::AccessResult::Ok;
+  }
 
   /// Address of field slot \p Slot of the object at \p Ref.
   static uint64_t slotAddr(uint64_t Ref, uint64_t Slot) {
@@ -110,8 +113,16 @@ public:
   /// Safepoint poll: runs the GC model if due. Returns the cycles the poll
   /// consumed beyond the poll itself (0 when no collection ran). A
   /// collection touches every allocated heap page (reads), which is what
-  /// would inflate a concurrent capture.
-  uint64_t pollSafepoint(uint64_t GcPauseCycles);
+  /// would inflate a concurrent capture. The no-collection test is inline:
+  /// it runs at every executed safepoint.
+  uint64_t pollSafepoint(uint64_t GcPauseCycles) {
+    // Collect as soon as a collection is "imminent" (the same 90% bar the
+    // capture scheduler postpones on) — a postponed capture must always
+    // get its chance on a later run.
+    if (readControl(BytesSinceGcSlot) * 10 < GcThresholdBytes * 9)
+      return 0;
+    return collect(GcPauseCycles);
+  }
 
   /// Number of collections this heap has run (from the control block).
   uint64_t gcRuns();
@@ -119,8 +130,16 @@ public:
   uint64_t limitBytes() const { return LimitBytes; }
 
 private:
-  uint64_t readControl(uint64_t Slot);
+  uint64_t readControl(uint64_t Slot) {
+    uint64_t Value = 0;
+    [[maybe_unused]] os::AccessResult R =
+        Space.loadU64(Layout::HeapBase + Slot, Value);
+    assert(R == os::AccessResult::Ok && "heap control block unreachable");
+    return Value;
+  }
   void writeControl(uint64_t Slot, uint64_t Value);
+  /// The collection pollSafepoint decided on; returns \p GcPauseCycles.
+  uint64_t collect(uint64_t GcPauseCycles);
 
   os::AddressSpace &Space;
   uint64_t LimitBytes;

@@ -2,6 +2,9 @@
 
 #include "vm/Machine.h"
 
+#include <cassert>
+#include <cstring>
+
 using namespace ropt;
 using namespace ropt::vm;
 
@@ -105,6 +108,7 @@ const char *vm::mopcodeName(MOpcode Op) {
   case MOpcode::MIntrinsic: return "intrinsic";
   case MOpcode::MRet: return "ret";
   case MOpcode::MRetVoid: return "ret-void";
+  case MOpcode::MEnd: return "end";
   case MOpcode::MOpcodeCount: break;
   }
   return "invalid";
@@ -132,4 +136,56 @@ bool vm::isMCondBranch(MOpcode Op) {
 
 bool vm::isMBranch(MOpcode Op) {
   return Op == MOpcode::MGoto || isMCondBranch(Op);
+}
+
+ExecFunction vm::decodeMachine(const MachineFunction &Fn) {
+  ExecFunction X;
+  X.Method = Fn.Method;
+  X.NumRegs = Fn.NumRegs;
+  X.ParamCount = Fn.ParamCount;
+  const uint32_t End = static_cast<uint32_t>(Fn.Code.size());
+  const bool MaySpill = Fn.NumRegs > PhysRegCount;
+  auto Spilled = [](MRegIdx R) { return R != MNoReg && R >= PhysRegCount; };
+  X.Code.reserve(End + 1);
+  for (const MInsn &I : Fn.Code) {
+    assert(I.ArgCount <= MMaxArgs && "argument count past MInsn::Args");
+    ExecInsn E;
+    // Only the decoder places the sentinel; any other opcode past the
+    // last real one is invalid code, which executes as a counted fault.
+    E.Op = I.Op < MOpcode::MEnd ? I.Op : MOpcode::MOpcodeCount;
+    // An MIf* compares B with C, or with 0 when C is absent, whichever
+    // spelling its opcode has; the decoded opcode follows the operands.
+    if (isMCondBranch(E.Op)) {
+      constexpr int ToZeroForm =
+          static_cast<int>(MOpcode::MIfEqz) - static_cast<int>(MOpcode::MIfEq);
+      bool ZeroForm = E.Op >= MOpcode::MIfEqz;
+      if (ZeroForm != (I.C == MNoReg))
+        E.Op = static_cast<MOpcode>(static_cast<int>(E.Op) +
+                                    (ZeroForm ? -ToZeroForm : ToZeroForm));
+    }
+    E.Hint = I.Hint;
+    E.ArgCount = I.ArgCount;
+    E.A = I.A;
+    E.B = I.B;
+    E.C = I.C;
+    E.Target = I.Target >= 0 && static_cast<uint32_t>(I.Target) < End
+                   ? static_cast<uint32_t>(I.Target)
+                   : End;
+    E.Idx = I.Idx;
+    E.ArgBase = static_cast<uint32_t>(X.ArgPool.size());
+    X.ArgPool.insert(X.ArgPool.end(), I.Args, I.Args + I.ArgCount);
+    if (I.Op == MOpcode::MMovImmF)
+      std::memcpy(&E.Imm, &I.ImmF, sizeof(E.Imm));
+    else
+      E.Imm = static_cast<uint64_t>(I.ImmI);
+    if (MaySpill) {
+      unsigned Touches = Spilled(I.A) + Spilled(I.B) + Spilled(I.C);
+      for (unsigned N = 0; N != I.ArgCount; ++N)
+        Touches += Spilled(I.Args[N]);
+      E.SpillTouches = static_cast<uint8_t>(Touches);
+    }
+    X.Code.push_back(E);
+  }
+  X.Code.push_back(ExecInsn()); // the MEnd sentinel, at index End
+  return X;
 }

@@ -73,6 +73,11 @@ enum class MOpcode : uint8_t {
   MRet,    ///< return reg B
   MRetVoid,
 
+  /// Never emitted: the sentinel that ends every executable form. Reaching
+  /// it faults without counting an instruction, like running past the
+  /// last MInsn.
+  MEnd,
+
   MOpcodeCount,
 };
 
@@ -140,12 +145,53 @@ struct MachineFunction {
   uint64_t sizeBytes() const { return Code.size() * 4; }
 };
 
+/// One instruction of an executable form: the MInsn at the same index,
+/// decoded once at install so the executor's step does no operand scan.
+struct ExecInsn {
+  MOpcode Op = MOpcode::MEnd;
+  BranchHint Hint = BranchHint::None;
+  uint8_t ArgCount = 0;
+  /// Operand touches of registers past PhysRegCount (A, B, C and call
+  /// arguments); always 0 in a frame that fits the register file.
+  uint8_t SpillTouches = 0;
+  MRegIdx A = MNoReg;
+  MRegIdx B = MNoReg;
+  MRegIdx C = MNoReg;
+  /// Branch target; a target outside the code is the sentinel's index.
+  uint32_t Target = 0;
+  uint32_t Idx = 0;
+  /// First argument register in ExecFunction::ArgPool.
+  uint32_t ArgBase = 0;
+  /// Register bits an immediate move writes (ImmI, or ImmF's bits).
+  uint64_t Imm = 0;
+};
+
+static_assert(sizeof(ExecInsn) == 32, "two executable insns per line");
+
+/// The executable form of one MachineFunction: one ExecInsn per MInsn at
+/// the same index (branch targets and predictor sites are unchanged),
+/// then an MEnd sentinel, so the executor needs no end-of-code test.
+struct ExecFunction {
+  dex::MethodId Method = dex::InvalidId;
+  uint16_t NumRegs = 0;
+  uint16_t ParamCount = 0;
+  std::vector<ExecInsn> Code;
+  std::vector<MRegIdx> ArgPool; ///< Call and intrinsic argument registers.
+};
+
+/// Decodes \p Fn into its executable form.
+ExecFunction decodeMachine(const MachineFunction &Fn);
+
 /// The set of compiled methods a runtime executes from. Replays swap whole
-/// caches to compare code versions.
+/// caches to compare code versions. Each installed function is decoded
+/// once into the executable form the runtime runs; it must not change
+/// after install.
 class CodeCache {
 public:
   void install(std::shared_ptr<MachineFunction> Fn) {
-    Functions[Fn->Method] = std::move(Fn);
+    dex::MethodId Id = Fn->Method;
+    Executable.insert_or_assign(Id, decodeMachine(*Fn));
+    Functions[Id] = std::move(Fn);
   }
 
   const MachineFunction *lookup(dex::MethodId Id) const {
@@ -153,8 +199,20 @@ public:
     return It == Functions.end() ? nullptr : It->second.get();
   }
 
-  void remove(dex::MethodId Id) { Functions.erase(Id); }
-  void clear() { Functions.clear(); }
+  /// The executable form of \p Id; nullptr when it is not installed.
+  const ExecFunction *lookupExec(dex::MethodId Id) const {
+    auto It = Executable.find(Id);
+    return It == Executable.end() ? nullptr : &It->second;
+  }
+
+  void remove(dex::MethodId Id) {
+    Functions.erase(Id);
+    Executable.erase(Id);
+  }
+  void clear() {
+    Functions.clear();
+    Executable.clear();
+  }
   size_t size() const { return Functions.size(); }
 
   uint64_t totalSizeBytes() const {
@@ -171,6 +229,7 @@ public:
 
 private:
   std::map<dex::MethodId, std::shared_ptr<MachineFunction>> Functions;
+  std::map<dex::MethodId, ExecFunction> Executable;
 };
 
 /// Mnemonic for \p Op.

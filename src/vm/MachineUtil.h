@@ -96,6 +96,7 @@ void forEachUseImpl(InsnT &I, FnT &Fn) {
       Fn(I.Args[N]);
     break;
 
+  case MOpcode::MEnd:
   case MOpcode::MOpcodeCount:
     assert(false && "invalid opcode");
     break;

@@ -151,14 +151,14 @@ Value Runtime::invoke(dex::MethodId MethodId,
   }
 
   Value Ret;
-  const MachineFunction *Fn = nullptr;
+  const ExecFunction *Fn = nullptr;
   if (!M.IsNative && Mode == ExecMode::Mixed) {
     // The session-shared cache wins: it is the immutable compiled binary
     // under evaluation; the runtime-owned cache serves online installs.
     if (SharedCode)
-      Fn = SharedCode->lookup(MethodId);
+      Fn = SharedCode->lookupExec(MethodId);
     if (!Fn)
-      Fn = Cache.lookup(MethodId);
+      Fn = Cache.lookupExec(MethodId);
   }
   if (M.IsNative)
     Ret = callNative(M.Native, Args);

@@ -34,7 +34,8 @@ namespace ropt {
 namespace vm {
 
 /// Hooks the interpreted replay uses to build type profiles and the
-/// verification map (Section 3.4). Only the interpreter fires them.
+/// verification map (Section 3.4). Only the interpreter fires
+/// onVirtualDispatch; both tiers fire onCellWrite.
 class ExecObserver {
 public:
   virtual ~ExecObserver() = default;
@@ -224,8 +225,7 @@ private:
   Value interpret(const dex::Method &M, const std::vector<Value> &Args);
 
   // --- Machine executor (Executor.cpp) -------------------------------------
-  Value execMachine(const MachineFunction &Fn,
-                    const std::vector<Value> &Args);
+  Value execMachine(const ExecFunction &Fn, const std::vector<Value> &Args);
 
   friend class RuntimeTestPeer;
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
 using namespace ropt;
 using namespace ropt::os;
 
@@ -494,4 +497,133 @@ TEST(TranslationCache, ProtectionChangeIsHonored) {
   uint64_t V = 0;
   EXPECT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
   EXPECT_EQ(V, 3u);
+}
+
+TEST(TranslationCache, MoreLivePagesThanSlotsStayCoherent) {
+  // 100 pages against a 64-slot cache: alternating between distant pages
+  // evicts constantly, and every access must still hit its own page.
+  constexpr uint64_t Pages = 100;
+  AddressSpace Space = makeSpace(Pages);
+  for (uint64_t P = 0; P != Pages; ++P) {
+    uint64_t V = 1000 + P;
+    ASSERT_EQ(Space.write(Base + P * PageSize + 8, &V, 8), AccessResult::Ok);
+  }
+  for (int Round = 0; Round != 3; ++Round)
+    for (uint64_t P = 0; P != Pages; ++P) {
+      uint64_t Q = (P * 37 + Round * 11) % Pages; // a scrambled partner
+      uint64_t V = 0;
+      ASSERT_EQ(Space.read(Base + P * PageSize + 8, &V, 8), AccessResult::Ok);
+      EXPECT_EQ(V, 1000 + P + Round * 1000000) << P;
+      ASSERT_EQ(Space.read(Base + Q * PageSize + 8, &V, 8), AccessResult::Ok);
+      EXPECT_EQ(V, 1000 + Q + (Q < P ? (Round + 1) : Round) * 1000000)
+          << Q;
+      // Bump P for the next round, between the partner's read and its own.
+      uint64_t Next = 1000 + P + (Round + 1) * 1000000;
+      ASSERT_EQ(Space.write(Base + P * PageSize + 8, &Next, 8),
+                AccessResult::Ok);
+    }
+  for (uint64_t P = 0; P != Pages; ++P) {
+    uint64_t V = 0;
+    ASSERT_TRUE(Space.peek(Base + P * PageSize + 8, &V, 8));
+    EXPECT_EQ(V, 1000 + P + 3 * 1000000);
+  }
+}
+
+TEST(TranslationCache, UnmapAndRemapOfACachedPage) {
+  AddressSpace Space = makeSpace(2);
+  uint64_t X = 0xfeed;
+  ASSERT_EQ(Space.write(Base, &X, 8), AccessResult::Ok);
+  uint64_t V = 0;
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok); // cached
+  Space.unmapRegion(Base, PageSize);
+  Space.mapRegion(Base, PageSize, ProtRead, MappingKind::Heap, "again");
+  // The remapped page is a fresh zero page with the new protection, not
+  // the old backing through a stale translation.
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0u);
+  EXPECT_EQ(Space.write(Base, &X, 8), AccessResult::Violation);
+  Space.protectRange(Base, PageSize, ProtRead | ProtWrite);
+  uint64_t Y = 0xbeef;
+  ASSERT_EQ(Space.write(Base, &Y, 8), AccessResult::Ok);
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0xbeefu);
+}
+
+TEST(TranslationCache, ResetThenWriteCopiesAgain) {
+  AddressSpace Space = makeSpace(2);
+  uint64_t A = 0xa, B = 0xb, C = 0xc, V = 0;
+  ASSERT_EQ(Space.write(Base, &A, 8), AccessResult::Ok);
+  Space.takeSnapshot();
+  ASSERT_EQ(Space.write(Base, &B, 8), AccessResult::Ok); // CoW, cached
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0xbu);
+  uint64_t Copies = Space.stats().CowCopies;
+  ASSERT_EQ(Space.resetToSnapshot(), 1);
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0xau);
+  // The page is shared with the snapshot again: this write must copy it,
+  // not write through into the snapshot's page.
+  ASSERT_EQ(Space.write(Base, &C, 8), AccessResult::Ok);
+  EXPECT_EQ(Space.stats().CowCopies, Copies + 1);
+  EXPECT_EQ(Space.dirtyPageCount(), 1u);
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0xcu);
+  ASSERT_EQ(Space.resetToSnapshot(), 1);
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0xau);
+}
+
+TEST(TranslationCache, CollidingPagesNeverServeEachOthersBytes) {
+  // 65 pages cannot fit 64 slots, so some pair shares a slot. Alternate
+  // every pair back to back, reads and writes, including the layout's
+  // data and heap bases (equal modulo 64 pages).
+  constexpr uint64_t Pages = 65;
+  AddressSpace Space = makeSpace(Pages);
+  constexpr uint64_t DataBase = 0x50000000, HeapBase = 0x60000000;
+  Space.mapRegion(DataBase, PageSize, ProtRead | ProtWrite,
+                  MappingKind::Data, "data");
+  Space.mapRegion(HeapBase, PageSize, ProtRead | ProtWrite,
+                  MappingKind::Heap, "heap2");
+  std::vector<uint64_t> Addrs = {DataBase, HeapBase};
+  for (uint64_t P = 0; P != Pages; ++P)
+    Addrs.push_back(Base + P * PageSize);
+  auto Tag = [](size_t I, size_t Gen) { return (Gen << 32) | (I + 1); };
+  for (size_t I = 0; I != Addrs.size(); ++I) {
+    uint64_t V = Tag(I, 0);
+    ASSERT_EQ(Space.write(Addrs[I], &V, 8), AccessResult::Ok);
+  }
+  std::vector<size_t> Gen(Addrs.size(), 0);
+  for (size_t I = 0; I != Addrs.size(); ++I)
+    for (size_t J = I + 1; J != Addrs.size(); ++J) {
+      uint64_t V = 0;
+      ASSERT_EQ(Space.read(Addrs[I], &V, 8), AccessResult::Ok);
+      ASSERT_EQ(V, Tag(I, Gen[I])) << I << " after " << J;
+      ASSERT_EQ(Space.read(Addrs[J], &V, 8), AccessResult::Ok);
+      ASSERT_EQ(V, Tag(J, Gen[J])) << J << " after " << I;
+      uint64_t W = Tag(J, ++Gen[J]);
+      ASSERT_EQ(Space.write(Addrs[J], &W, 8), AccessResult::Ok);
+      ASSERT_EQ(Space.read(Addrs[I], &V, 8), AccessResult::Ok);
+      ASSERT_EQ(V, Tag(I, Gen[I])) << I << " after writing " << J;
+    }
+}
+
+TEST(TranslationCache, MovesCarryTheCacheWithThePageTable) {
+  static_assert(!std::is_copy_constructible_v<AddressSpace>);
+  static_assert(!std::is_copy_assignable_v<AddressSpace>);
+  static_assert(std::is_move_constructible_v<AddressSpace>);
+  static_assert(std::is_move_assignable_v<AddressSpace>);
+  AddressSpace Space = makeSpace(2);
+  uint64_t X = 0x77, Y = 0x99, V = 0;
+  ASSERT_EQ(Space.write(Base, &X, 8), AccessResult::Ok); // cached
+  AddressSpace Moved = std::move(Space);
+  ASSERT_EQ(Moved.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0x77u);
+  // A fresh space moved into the old one serves its own zero page, not
+  // the moved page through a translation the old one cached.
+  Space = makeSpace(2);
+  ASSERT_EQ(Space.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0u);
+  ASSERT_EQ(Space.write(Base, &Y, 8), AccessResult::Ok);
+  ASSERT_EQ(Moved.read(Base, &V, 8), AccessResult::Ok);
+  EXPECT_EQ(V, 0x77u);
 }

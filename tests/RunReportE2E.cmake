@@ -5,7 +5,8 @@
 #   2. fig09_ga_evolution --fast --seed 1 --jobs 4 --report B
 #   3. ropt-report validate A        -> artifacts parse, manifest fields ok
 #   4. ropt-report summarize A       -> renders without error, with the
-#      compile-resume line (prefix-resumed compilation fired)
+#      compile-resume line (prefix-resumed compilation fired) and the
+#      executor line (replayed instructions and ns per instruction)
 #   5. evaluations.jsonl A == B      -> provenance is jobs-invariant
 #   6. ropt-report diff A B          -> zero fitness regressions
 #   7. the same pair with --racing on -> racing provenance (early stops,
@@ -69,6 +70,9 @@ if(NOT Out MATCHES "Sieve")
 endif()
 if(NOT Out MATCHES "compile resume: [1-9][0-9]* of [0-9]+ pass applications")
   message(FATAL_ERROR "summary has no nonzero compile-resume line:\n${Out}")
+endif()
+if(NOT Out MATCHES "executor: [1-9][0-9]* simulated instructions replayed, [0-9]+\\.[0-9]+ ns each")
+  message(FATAL_ERROR "summary has no nonzero executor line:\n${Out}")
 endif()
 
 # The tentpole guarantee: byte-identical provenance at any --jobs.

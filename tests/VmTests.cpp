@@ -4,17 +4,22 @@
 #include "hgraph/AndroidCompiler.h"
 #include "hgraph/Build.h"
 #include "hgraph/Codegen.h"
+#include "lir/Backend.h"
+#include "search/Genome.h"
 #include "support/Random.h"
 #include "vm/Heap.h"
 #include "vm/IntOps.h"
 #include "vm/MachineUtil.h"
 #include "vm/Runtime.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <ostream>
 
 using namespace ropt;
 using namespace ropt::dex;
@@ -983,4 +988,521 @@ TEST(IntSemantics, FolderInterpreterAndExecutorAgreeOnEdgeOperands) {
   EXPECT_EQ(vm::doubleToInt(std::numeric_limits<double>::quiet_NaN()), 0);
   EXPECT_EQ(vm::doubleToInt(Inf), Max);
   EXPECT_EQ(vm::doubleToInt(-Inf), Min);
+}
+
+// --- Executor golden values --------------------------------------------------
+//
+// The executor's observable output pinned to values recorded from the
+// straightforward MInsn loop it replaced: every CallResult field and the
+// whole AttributeCycles profile (exclusive cycles and feature counters per
+// method). A different charge, count, trap or attribution order changes a
+// row. Each case runs twice, profiling off and on, and the two CallResults
+// must agree: profiling never perturbs the cost model.
+
+namespace {
+
+struct GoldenRow {
+  std::string Case;
+  std::string Trap;
+  uint64_t Ret = 0;
+  uint64_t Cycles = 0;
+  uint64_t Insns = 0;
+  uint64_t Profile = 0; ///< FNV-1a over methodCycles() and methodFeatures().
+
+  bool operator==(const GoldenRow &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const GoldenRow &R) {
+  return OS << "{\"" << R.Case << "\", \"" << R.Trap << "\", 0x" << std::hex
+            << R.Ret << "ULL, " << std::dec << R.Cycles << "ULL, " << R.Insns
+            << "ULL, 0x" << std::hex << R.Profile << "ULL}" << std::dec;
+}
+
+uint64_t profileHash(const Runtime &RT) {
+  uint64_t H = 1469598103934665603ULL;
+  auto Mix = [&H](uint64_t V) {
+    H ^= V;
+    H *= 1099511628211ULL;
+  };
+  for (uint64_t C : RT.methodCycles())
+    Mix(C);
+  for (const MethodFeatureCounters &F : RT.methodFeatures())
+    for (uint64_t V : {F.Insns, F.Branches, F.Mispredicts, F.MemReads,
+                       F.MemWrites, F.CacheMisses, F.Allocs, F.AllocSlots,
+                       F.NativeCycles})
+      Mix(V);
+  return H;
+}
+
+/// One executor scenario: a program, the code to install, the calls to
+/// make (the last one's CallResult is pinned; the profile covers all).
+struct ExecCase {
+  std::string Name;
+  std::shared_ptr<const DexFile> File;
+  RuntimeConfig Config;
+  std::function<void(Runtime &)> Install;
+  std::function<CallResult(Runtime &)> Run;
+};
+
+GoldenRow runCase(const ExecCase &C) {
+  GoldenRow Row;
+  CallResult Plain;
+  for (bool Attribute : {false, true}) {
+    RuntimeConfig Config = C.Config;
+    Config.AttributeCycles = Attribute;
+    os::AddressSpace Space;
+    NativeRegistry Natives = NativeRegistry::standardLibrary();
+    Runtime::mapStandardLayout(Space, *C.File, Config);
+    Runtime RT(Space, *C.File, Natives, Config);
+    C.Install(RT);
+    CallResult R = C.Run(RT);
+    if (!Attribute) {
+      Plain = R;
+      continue;
+    }
+    EXPECT_EQ(R.Trap, Plain.Trap) << C.Name;
+    EXPECT_EQ(R.Ret.Raw, Plain.Ret.Raw) << C.Name;
+    EXPECT_EQ(R.Cycles, Plain.Cycles) << C.Name;
+    EXPECT_EQ(R.Insns, Plain.Insns) << C.Name;
+    Row = {C.Name, trapKindName(R.Trap), R.Ret.Raw, R.Cycles, R.Insns,
+           profileHash(RT)};
+  }
+  return Row;
+}
+
+MInsn gi(MOpcode Op, MRegIdx A = MNoReg, MRegIdx B = MNoReg,
+         MRegIdx C = MNoReg) {
+  MInsn I;
+  I.Op = Op;
+  I.A = A;
+  I.B = B;
+  I.C = C;
+  return I;
+}
+
+MInsn gimm(MRegIdx A, int64_t V) {
+  MInsn I = gi(MOpcode::MMovImmI, A);
+  I.ImmI = V;
+  return I;
+}
+
+MInsn gjump(MOpcode Op, int32_t Target, MRegIdx B = MNoReg,
+            MRegIdx C = MNoReg) {
+  MInsn I = gi(Op, MNoReg, B, C);
+  I.Target = Target;
+  return I;
+}
+
+/// Installs \p Code as the compiled body of \p Method (declared in the dex
+/// file with a placeholder bytecode body).
+void installHand(Runtime &RT, MethodId Method, uint16_t NumRegs,
+                 uint16_t Params, std::vector<MInsn> Code) {
+  auto Fn = std::make_shared<MachineFunction>();
+  Fn->Method = Method;
+  Fn->Name = "hand";
+  Fn->NumRegs = NumRegs;
+  Fn->ParamCount = Params;
+  Fn->ReturnsValue = true;
+  Fn->Code = std::move(Code);
+  RT.codeCache().install(std::move(Fn));
+}
+
+void compileAllAndroidInto(Runtime &RT) {
+  std::vector<MethodId> All;
+  for (const auto &M : RT.dexFile().methods())
+    if (!M.IsNative)
+      All.push_back(M.Id);
+  hgraph::compileAllAndroid(RT.dexFile(), All, RT.codeCache());
+}
+
+/// Seeded LIR genome over every method of a Scimark app: init, then two
+/// sessions, all through the compiled code.
+ExecCase appCase(const std::string &AppName, uint64_t Seed) {
+  auto App = std::make_shared<workloads::Application>(
+      workloads::buildByName(AppName));
+  ExecCase C;
+  C.Name = AppName + "/genome" + std::to_string(Seed);
+  C.File = App->File;
+  C.Config = App->RtConfig;
+  C.Install = [Seed](Runtime &RT) {
+    Rng R(Seed);
+    search::Genome G = search::randomGenome(R, search::GenomeConfig());
+    lir::CompileOptions Options;
+    Options.Pipeline = G.Passes;
+    Options.RegAlloc = G.RegAlloc;
+    std::vector<MethodId> All;
+    for (const auto &M : RT.dexFile().methods())
+      if (!M.IsNative)
+        All.push_back(M.Id);
+    lir::compileAllLlvm(RT.dexFile(), All, Options, RT.codeCache());
+  };
+  C.Run = [App](Runtime &RT) {
+    RT.call(App->InitEntry, App->argsFor(App->InitParam));
+    RT.call(App->SessionEntry, App->argsFor(App->DefaultParam));
+    return RT.call(App->SessionEntry, App->argsFor(App->DefaultParam + 1));
+  };
+  return C;
+}
+
+/// Static and virtual calls: main(k) allocates a Square or Circle, sets
+/// its size through a static helper and dispatches area() virtually.
+std::shared_ptr<const DexFile> callsProgram() {
+  DexBuilder B;
+  ClassId Shape = B.addClass("Shape");
+  ClassId Square = B.addClass("Square", Shape);
+  ClassId Circle = B.addClass("Circle", Shape);
+  FieldId Size = B.addField(Shape, "size", Type::I64);
+  MethodId Area = B.declareVirtual(Shape, "area", 1, true);
+  MethodId SquareArea = B.declareVirtual(Square, "area", 1, true);
+  MethodId CircleArea = B.declareVirtual(Circle, "area", 1, true);
+  MethodId Scale = B.declareFunction(InvalidId, "scale", 2, true);
+  {
+    FunctionBuilder F = B.beginBody(Area);
+    F.ret(F.immI(0));
+    B.endBody(F);
+  }
+  {
+    FunctionBuilder F = B.beginBody(SquareArea);
+    RegIdx S = F.newReg();
+    F.getField(S, F.param(0), Size);
+    F.mulI(S, S, S);
+    F.ret(S);
+    B.endBody(F);
+  }
+  {
+    FunctionBuilder F = B.beginBody(CircleArea);
+    RegIdx S = F.newReg(), Three = F.immI(3);
+    F.getField(S, F.param(0), Size);
+    F.mulI(S, S, S);
+    F.mulI(S, S, Three);
+    F.ret(S);
+    B.endBody(F);
+  }
+  {
+    FunctionBuilder F = B.beginBody(Scale);
+    RegIdx S = F.newReg();
+    F.mulI(S, F.param(0), F.param(1));
+    F.ret(S);
+    B.endBody(F);
+  }
+  MethodId Main = B.declareFunction(InvalidId, "main", 1, true);
+  {
+    FunctionBuilder F = B.beginBody(Main);
+    RegIdx Obj = F.newReg(), R = F.newReg(), Acc = F.newReg(),
+           I = F.newReg(), One = F.immI(1), Ten = F.immI(10);
+    auto UseCircle = F.newLabel(), Call = F.newLabel();
+    F.ifNez(F.param(0), UseCircle);
+    F.newInstance(Obj, Square);
+    F.jump(Call);
+    F.bind(UseCircle);
+    F.newInstance(Obj, Circle);
+    F.bind(Call);
+    F.constI(Acc, 0);
+    F.constI(I, 0);
+    auto Head = F.newLabel(), Exit = F.newLabel();
+    F.bind(Head);
+    F.ifGe(I, Ten, Exit);
+    RegIdx Sz = F.newReg();
+    F.invokeStatic(Sz, Scale, {I, F.param(0)});
+    F.putField(Obj, Size, Sz);
+    F.invokeVirtual(R, Area, {Obj});
+    F.addI(Acc, Acc, R);
+    F.addI(I, I, One);
+    F.jump(Head);
+    F.bind(Exit);
+    F.ret(Acc);
+    B.endBody(F);
+  }
+  return std::make_shared<const DexFile>(B.build());
+}
+
+/// clock(n): ~2.5M cycles of loop work, then currentTimeMillis(), whose
+/// result is the runtime's lifetime cycle count at the call.
+std::shared_ptr<const DexFile> clockProgram() {
+  DexBuilder B;
+  NativeId Now = B.addNative("currentTimeMillis", 0, true);
+  MethodId M = B.declareFunction(InvalidId, "clock", 1, true);
+  FunctionBuilder F = B.beginBody(M);
+  RegIdx Sum = F.newReg(), I = F.newReg(), One = F.immI(1),
+         T = F.newReg();
+  F.constI(Sum, 0);
+  F.constI(I, 0);
+  auto Head = F.newLabel(), Exit = F.newLabel();
+  F.bind(Head);
+  F.ifGe(I, F.param(0), Exit);
+  F.mulI(T, I, I);
+  F.addI(Sum, Sum, T);
+  F.addI(I, I, One);
+  F.jump(Head);
+  F.bind(Exit);
+  F.invokeNative(T, Now, {});
+  F.mulI(T, T, F.immI(1000000));
+  F.addI(Sum, Sum, T);
+  F.ret(Sum);
+  B.endBody(F);
+  return std::make_shared<const DexFile>(B.build());
+}
+
+/// A dex file declaring stub(a, b) and add2(a, b) — add2 with a real body,
+/// stub's body replaced by hand-written machine code in each case.
+std::shared_ptr<const DexFile> stubProgram() {
+  DexBuilder B;
+  for (const char *Name : {"stub", "add2"}) {
+    FunctionBuilder F =
+        B.beginBody(B.declareFunction(InvalidId, Name, 2, true));
+    RegIdx S = F.newReg();
+    F.addI(S, F.param(0), F.param(1));
+    F.ret(S);
+    B.endBody(F);
+  }
+  return std::make_shared<const DexFile>(B.build());
+}
+
+ExecCase handCase(const std::string &Name, uint16_t NumRegs,
+                  std::vector<MInsn> Code, std::vector<Value> Args,
+                  uint64_t Budget = RuntimeConfig().InsnBudget) {
+  ExecCase C;
+  C.Name = Name;
+  C.File = stubProgram();
+  C.Config.InsnBudget = Budget;
+  C.Install = [Code, NumRegs](Runtime &RT) {
+    compileAllAndroidInto(RT);
+    installHand(RT, RT.dexFile().findMethod("stub"), NumRegs, 2, Code);
+  };
+  C.Run = [Args](Runtime &RT) {
+    return RT.call(RT.dexFile().findMethod("stub"), Args);
+  };
+  return C;
+}
+
+std::vector<ExecCase> goldenCases() {
+  std::vector<ExecCase> Cases;
+  for (const char *App : {"FFT", "SOR", "Sparse matmult"})
+    for (uint64_t Seed : {11, 12, 13})
+      Cases.push_back(appCase(App, Seed));
+
+  // A RegAllocKind::None frame: >128 virtual registers, most spilled.
+  {
+    DexBuilder B;
+    FunctionBuilder F =
+        B.beginBody(B.declareFunction(InvalidId, "wide", 1, true));
+    RegIdx Acc = F.newReg(), I = F.newReg(), One = F.immI(1);
+    std::vector<RegIdx> K;
+    for (int J = 0; J != 40; ++J)
+      K.push_back(F.immI(J + 1));
+    F.constI(Acc, 0);
+    F.constI(I, 0);
+    auto Head = F.newLabel(), Exit = F.newLabel();
+    F.bind(Head);
+    F.ifGe(I, F.param(0), Exit);
+    for (int J = 0; J != 40; ++J) {
+      RegIdx T = F.newReg();
+      F.mulI(T, I, K[J]);
+      F.addI(Acc, Acc, T);
+    }
+    F.addI(I, I, One);
+    F.jump(Head);
+    F.bind(Exit);
+    F.ret(Acc);
+    B.endBody(F);
+    ExecCase C;
+    C.Name = "spilled-none";
+    C.File = std::make_shared<const DexFile>(B.build());
+    C.Install = [](Runtime &RT) {
+      MethodId Wide = RT.dexFile().findMethod("wide");
+      RT.codeCache().install(hgraph::emitMachine(
+          hgraph::buildHGraph(RT.dexFile(), Wide),
+          hgraph::RegAllocKind::None));
+    };
+    C.Run = [](Runtime &RT) {
+      return RT.call(RT.dexFile().findMethod("wide"), {Value::fromI64(9)});
+    };
+    Cases.push_back(C);
+  }
+  // Call arguments and results in spilled registers.
+  {
+    std::vector<MInsn> Code = {gimm(30, 5), gimm(31, 7)};
+    MInsn Call = gi(MOpcode::MCallStatic, 32);
+    Call.Idx = stubProgram()->findMethod("add2");
+    Call.ArgCount = 2;
+    Call.Args[0] = 30;
+    Call.Args[1] = 31;
+    Code.push_back(Call);
+    Code.push_back(gi(MOpcode::MAddI, 33, 32, 0));
+    Code.push_back(gi(MOpcode::MRet, MNoReg, 33));
+    Cases.push_back(handCase("spilled-call", 40, Code,
+                             {Value::fromI64(1), Value::fromI64(2)}));
+  }
+
+  for (int64_t K : {0, 1}) {
+    ExecCase C;
+    C.Name = "calls/main" + std::to_string(K);
+    C.File = callsProgram();
+    C.Install = compileAllAndroidInto;
+    C.Run = [K](Runtime &RT) {
+      return RT.call(RT.dexFile().findMethod("main"), {Value::fromI64(K)});
+    };
+    Cases.push_back(C);
+  }
+  // The budget runs out in main and in each nested frame.
+  for (uint64_t Budget : {40, 41, 42, 43, 44, 45, 46, 47, 200}) {
+    ExecCase C;
+    C.Name = "calls/budget" + std::to_string(Budget);
+    C.File = callsProgram();
+    C.Config.InsnBudget = Budget;
+    C.Install = compileAllAndroidInto;
+    C.Run = [](Runtime &RT) {
+      return RT.call(RT.dexFile().findMethod("main"), {Value::fromI64(1)});
+    };
+    Cases.push_back(C);
+  }
+
+  {
+    ExecCase C;
+    C.Name = "native-now";
+    C.File = clockProgram();
+    C.Install = compileAllAndroidInto;
+    C.Run = [](Runtime &RT) {
+      MethodId Clock = RT.dexFile().findMethod("clock");
+      RT.call(Clock, {Value::fromI64(1000)});
+      return RT.call(Clock, {Value::fromI64(300000)});
+    };
+    Cases.push_back(C);
+  }
+
+  // sumTo(20) takes exactly 106 instructions compiled: a budget of 106
+  // completes, 105 times out on the last instruction.
+  for (uint64_t Budget : {105, 106}) {
+    DexBuilder B;
+    defineSumTo(B);
+    ExecCase C;
+    C.Name = "sumTo/budget" + std::to_string(Budget);
+    C.File = std::make_shared<const DexFile>(B.build());
+    C.Config.InsnBudget = Budget;
+    C.Install = compileAllAndroidInto;
+    C.Run = [](Runtime &RT) {
+      return RT.call(RT.dexFile().findMethod("sumTo"),
+                     {Value::fromI64(20)});
+    };
+    Cases.push_back(C);
+  }
+
+  // Unchecked division by zero traps without charging the divide.
+  Cases.push_back(handCase(
+      "div0", 3,
+      {gimm(2, 9), gi(MOpcode::MDivI, 2, 0, 1), gi(MOpcode::MRet, MNoReg, 2)},
+      {Value::fromI64(7), Value::fromI64(0)}));
+  Cases.push_back(handCase(
+      "rem0", 3,
+      {gi(MOpcode::MRemI, 2, 0, 1), gi(MOpcode::MRet, MNoReg, 2)},
+      {Value::fromI64(7), Value::fromI64(0)}));
+  Cases.push_back(handCase(
+      "div-ok", 3,
+      {gi(MOpcode::MDivI, 2, 0, 1), gi(MOpcode::MRet, MNoReg, 2)},
+      {Value::fromI64(7), Value::fromI64(2)}));
+
+  // Branches out of range, forward and backward, and a taken guard.
+  Cases.push_back(handCase(
+      "goto-out", 3, {gimm(2, 1), gjump(MOpcode::MGoto, 100)},
+      {Value::fromI64(0), Value::fromI64(0)}));
+  Cases.push_back(handCase(
+      "if-out", 3,
+      {gimm(2, 1), gjump(MOpcode::MIfLt, -3, 0, 1),
+       gi(MOpcode::MRet, MNoReg, 2)},
+      {Value::fromI64(1), Value::fromI64(2)}));
+  Cases.push_back(handCase(
+      "goto-end", 3, {gimm(2, 1), gjump(MOpcode::MGoto, 2)},
+      {Value::fromI64(0), Value::fromI64(0)}));
+
+  // Falling off the end faults without counting an instruction, also
+  // when the budget runs out on that very step.
+  std::vector<MInsn> NoRet = {gimm(2, 3), gi(MOpcode::MAddI, 2, 2, 0),
+                              gi(MOpcode::MMulI, 2, 2, 1)};
+  for (uint64_t Budget : {2, 3, 4})
+    Cases.push_back(handCase("fall-off/budget" + std::to_string(Budget), 3,
+                             NoRet, {Value::fromI64(4), Value::fromI64(5)},
+                             Budget));
+  Cases.push_back(handCase("fall-off", 3, NoRet,
+                           {Value::fromI64(4), Value::fromI64(5)}));
+  return Cases;
+}
+
+} // namespace
+
+TEST(ExecutorGolden, MatchesRecordedResultsAndProfiles) {
+  // Recorded from the MInsn-loop executor; see the section comment.
+  const std::vector<GoldenRow> Want = {
+      {"FFT/genome11", "none", 0x21708ULL, 1397874ULL, 319291ULL,
+       0xa6e98daf45a2e3d4ULL},
+      {"FFT/genome12", "none", 0x21708ULL, 2484212ULL, 405521ULL,
+       0x82c888de1627c263ULL},
+      {"FFT/genome13", "none", 0x21708ULL, 1601273ULL, 397830ULL,
+       0xcbdc9e9b2a9fc00bULL},
+      {"SOR/genome11", "none", 0x81731ULL, 732157ULL, 50984ULL,
+       0x369637de9beb4e5bULL},
+      {"SOR/genome12", "none", 0x81731ULL, 669168ULL, 107059ULL,
+       0xa38430b8ed74206bULL},
+      {"SOR/genome13", "none", 0x81731ULL, 316568ULL, 102781ULL,
+       0x7deba125f4bf0e31ULL},
+      {"Sparse matmult/genome11", "none", 0x6e901ULL, 3231869ULL, 187572ULL,
+       0x4e3ad02e74307fa5ULL},
+      {"Sparse matmult/genome12", "none", 0x6e901ULL, 3175587ULL, 528553ULL,
+       0xa63100b82fc37c85ULL},
+      {"Sparse matmult/genome13", "none", 0x6e901ULL, 2061457ULL, 524943ULL,
+       0x9fc784fc3cb5876bULL},
+      {"spilled-none", "none", 0x7350ULL, 3401ULL, 802ULL,
+       0x5279e7bb6e6e2839ULL},
+      {"spilled-call", "none", 0xdULL, 37ULL, 8ULL, 0xb11452445402c124ULL},
+      {"calls/main0", "none", 0x0ULL, 481ULL, 160ULL, 0xfe3354aa00ed33b5ULL},
+      {"calls/main1", "none", 0x357ULL, 533ULL, 179ULL, 0xe2ef495214b12d05ULL},
+      {"calls/budget40", "timeout", 0x0ULL, 148ULL, 41ULL,
+       0x8adf1b5313681a7cULL},
+      {"calls/budget41", "timeout", 0x0ULL, 149ULL, 42ULL,
+       0x6136292e2012fc60ULL},
+      {"calls/budget42", "timeout", 0x0ULL, 150ULL, 43ULL,
+       0x63fe3318fc22e327ULL},
+      {"calls/budget43", "timeout", 0x0ULL, 153ULL, 44ULL,
+       0xa8d2619a4043e81ULL},
+      {"calls/budget44", "timeout", 0x0ULL, 154ULL, 45ULL,
+       0x6c7d4f9b8aff7c25ULL},
+      {"calls/budget45", "timeout", 0x0ULL, 155ULL, 46ULL,
+       0xd85db604a4327d75ULL},
+      {"calls/budget46", "timeout", 0x0ULL, 156ULL, 47ULL,
+       0x20a9d4fb4cac034aULL},
+      {"calls/budget47", "timeout", 0x0ULL, 173ULL, 48ULL,
+       0x3701b060b90b3be1ULL},
+      {"calls/budget200", "none", 0x357ULL, 533ULL, 179ULL,
+       0xe2ef495214b12d05ULL},
+      {"native-now", "none", 0x1ff96950f38810ULL, 3000242ULL, 1800010ULL,
+       0x6e53b9927f303fefULL},
+      {"sumTo/budget105", "timeout", 0x0ULL, 165ULL, 106ULL,
+       0x208f2d48099c3f42ULL},
+      {"sumTo/budget106", "none", 0xbeULL, 167ULL, 106ULL,
+       0x4c5ab2578711a8ecULL},
+      {"div0", "div-by-zero", 0x0ULL, 6ULL, 2ULL, 0x5ddf0b346d324267ULL},
+      {"rem0", "div-by-zero", 0x0ULL, 5ULL, 1ULL, 0x700cd4f5a20535cfULL},
+      {"div-ok", "none", 0x3ULL, 19ULL, 2ULL, 0x15cb1dec27947362ULL},
+      {"goto-out", "memory-fault", 0x0ULL, 7ULL, 2ULL, 0x7bb24f5244fac996ULL},
+      {"if-out", "memory-fault", 0x0ULL, 20ULL, 2ULL, 0x52f4a6719c38d43ULL},
+      {"goto-end", "memory-fault", 0x0ULL, 7ULL, 2ULL, 0x7bb24f5244fac996ULL},
+      {"fall-off/budget2", "timeout", 0x0ULL, 7ULL, 3ULL,
+       0x4bb14173385f4effULL},
+      {"fall-off/budget3", "memory-fault", 0x0ULL, 10ULL, 3ULL,
+       0x1693089c1aaba042ULL},
+      {"fall-off/budget4", "memory-fault", 0x0ULL, 10ULL, 3ULL,
+       0x1693089c1aaba042ULL},
+      {"fall-off", "memory-fault", 0x0ULL, 10ULL, 3ULL, 0x1693089c1aaba042ULL},
+  };
+  std::vector<ExecCase> Cases = goldenCases();
+  std::vector<GoldenRow> Got;
+  for (const ExecCase &C : Cases)
+    Got.push_back(runCase(C));
+  for (size_t I = 0; I != Got.size(); ++I) {
+    if (I < Want.size()) {
+      EXPECT_EQ(Got[I], Want[I]);
+    } else {
+      ADD_FAILURE() << "unpinned row " << Got[I];
+    }
+  }
+  EXPECT_EQ(Got.size(), Want.size());
 }
